@@ -12,6 +12,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/queue.hpp"
+#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "wireless/mobility.hpp"
@@ -224,9 +225,9 @@ struct NullL2 final : L2Callbacks {
 
 void BM_WlanTickStaticField(benchmark::State& state) {
   // One second of WLAN ticks over a 10x10 AP grid with n stationary,
-  // attached hosts: the per-tick association scan that dominated the
-  // city-scale runs. Hosts sit at cell centers, so no triggers or handoffs
-  // fire — this isolates the evaluate() cost itself.
+  // attached hosts at cell centers: no triggers or handoffs fire. Each host
+  // is evaluated at start() and at the first tick and then sleeps, so this
+  // times one evaluation per host, then 99 ticks over an empty calendar.
   const int n = static_cast<int>(state.range(0));
   const double spacing = 212, radius = 112;
   NullL2 cb;
@@ -267,9 +268,63 @@ void BM_WlanTickStaticField(benchmark::State& state) {
 }
 BENCHMARK(BM_WlanTickStaticField)->Arg(100)->Arg(1000);
 
+void BM_WlanTickWaypointField(benchmark::State& state) {
+  // Twenty seconds of 20 ms WLAN ticks over the same 10x10 AP grid with n
+  // random-waypoint walkers at 5-20 m/s: triggers, handoffs and coverage
+  // holes all occur, so the calendar re-arm and the due-host evaluations
+  // are timed (a stationary field only times an empty calendar).
+  const int n = static_cast<int>(state.range(0));
+  const double spacing = 212, radius = 112, field = 9 * spacing;
+  NullL2 cb;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto sim = std::make_unique<Simulation>();
+    WlanConfig cfg;
+    cfg.tick = SimTime::millis(20);
+    cfg.send_router_adv = false;
+    auto wlan = std::make_unique<WlanManager>(*sim, cfg);
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (int r = 0; r < 10; ++r) {
+      for (int c = 0; c < 10; ++c) {
+        nodes.push_back(std::make_unique<Node>(
+            *sim, static_cast<NodeId>(nodes.size() + 1), "ar"));
+        wlan->add_ap(*nodes.back(), Vec2{c * spacing, r * spacing}, radius,
+                     nullptr);
+      }
+    }
+    Rng rng(42);
+    for (int i = 0; i < n; ++i) {
+      nodes.push_back(std::make_unique<Node>(
+          *sim, static_cast<NodeId>(1000 + i), "mh"));
+      const double speed = rng.uniform(5.0, 20.0);
+      std::vector<WaypointMobility::Leg> legs;
+      for (int w = 0; w < 4; ++w) {  // most walks outlast the 20 s run
+        legs.push_back({Vec2{rng.uniform(0.0, field), rng.uniform(0.0, field)},
+                        speed});
+      }
+      const Vec2 at{rng.uniform(0.0, field), rng.uniform(0.0, field)};
+      wlan->add_mh(*nodes.back(),
+                   std::make_unique<WaypointMobility>(at, std::move(legs)),
+                   &cb);
+    }
+    wlan->start();
+    state.ResumeTiming();
+    sim->run_until(SimTime::seconds(20));
+    benchmark::DoNotOptimize(wlan->handoffs_started());
+    state.PauseTiming();
+    wlan.reset();
+    nodes.clear();
+    sim.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n * 1000);  // host-ticks
+}
+BENCHMARK(BM_WlanTickWaypointField)->Arg(1000)->Arg(5000);
+
 void BM_WaypointMobilityPosition(benchmark::State& state) {
-  // Random-waypoint walks hold hundreds of segments; position() runs once
-  // per MH per tick, sampling later and later times as the run advances.
+  // Random-waypoint walks hold hundreds of segments; position() runs on
+  // every WLAN evaluation, sampling later and later times as the run
+  // advances.
   const int n = static_cast<int>(state.range(0));
   std::vector<WaypointMobility::Leg> legs;
   legs.reserve(n);

@@ -4,6 +4,17 @@
 #include <cmath>
 
 namespace fhmip {
+namespace {
+
+// `t` plus `seconds`, floored to the nanosecond so a leg never runs past
+// the instant its motion changes; kForever when that is out of range.
+SimTime after(SimTime t, double seconds) {
+  const double ns = std::floor(seconds * 1e9);
+  if (!(ns < static_cast<double>(kForever.ns() - t.ns()))) return kForever;
+  return t + SimTime::nanos(static_cast<std::int64_t>(ns));
+}
+
+}  // namespace
 
 double distance(Vec2 a, Vec2 b) {
   const double dx = a.x - b.x;
@@ -18,6 +29,11 @@ Vec2 LinearMobility::position(SimTime t) const {
   if (t <= t0_) return start_;
   const double dt = (t - t0_).sec();
   return Vec2{start_.x + vel_.x * dt, start_.y + vel_.y * dt};
+}
+
+Leg LinearMobility::leg(SimTime t) const {
+  if (t < t0_) return {Vec2{}, t0_};
+  return {vel_, kForever};
 }
 
 BounceMobility::BounceMobility(Vec2 a, Vec2 b, double speed_mps, SimTime t0)
@@ -43,6 +59,20 @@ Vec2 BounceMobility::position(SimTime t) const {
   return Vec2{from.x + (to.x - from.x) * f, from.y + (to.y - from.y) * f};
 }
 
+Leg BounceMobility::leg(SimTime t) const {
+  const double leg = distance(a_, b_) / speed_;
+  if (!(leg > 0) || !std::isfinite(leg)) return {};  // parked at a_
+  if (t < t0_) return {Vec2{}, t0_};
+  // position() still reports b_ at phase == leg; the motion from there on
+  // is the way back.
+  const double phase = std::fmod((t - t0_).sec(), 2 * leg);
+  const bool toward_b = phase < leg;
+  const Vec2 from = toward_b ? a_ : b_;
+  const Vec2 to = toward_b ? b_ : a_;
+  return {Vec2{(to.x - from.x) / leg, (to.y - from.y) / leg},
+          after(t, (toward_b ? leg : 2 * leg) - phase)};
+}
+
 WaypointMobility::WaypointMobility(Vec2 start, std::vector<Leg> legs,
                                    SimTime t0)
     : final_(start), t0_(t0) {
@@ -65,8 +95,8 @@ Vec2 WaypointMobility::position(SimTime t) const {
   }
   // Segment ends are non-decreasing, so the active segment — the first one
   // with t < end — binary-searches in O(log segments). Random-waypoint
-  // walks carry hundreds of segments and this runs once per MH per WLAN
-  // tick.
+  // walks carry hundreds of segments and this runs on every WLAN
+  // evaluation of a host.
   const auto it = std::upper_bound(
       segments_.begin(), segments_.end(), t,
       [](SimTime v, const Segment& s) { return v < s.end; });
@@ -77,6 +107,24 @@ Vec2 WaypointMobility::position(SimTime t) const {
   const double f = (t - s.begin).sec() / total;
   return Vec2{s.from.x + (s.to.x - s.from.x) * f,
               s.from.y + (s.to.y - s.from.y) * f};
+}
+
+fhmip::Leg WaypointMobility::leg(SimTime t) const {
+  if (segments_.empty()) return {};
+  if (t < t0_) return {Vec2{}, t0_};
+  const auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), t,
+      [](SimTime v, const Segment& s) { return v < s.end; });
+  if (it == segments_.end()) return {};  // parked at the final waypoint
+  // position() holds the start through t0 itself, then jumps past any
+  // zero-length opening segments.
+  if (t == t0_ && it != segments_.begin()) {
+    return {Vec2{}, t0_ + SimTime::nanos(1)};
+  }
+  const Segment& s = *it;
+  const double total = (s.end - s.begin).sec();
+  return {Vec2{(s.to.x - s.from.x) / total, (s.to.y - s.from.y) / total},
+          s.end};
 }
 
 }  // namespace fhmip

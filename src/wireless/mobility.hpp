@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -15,17 +16,33 @@ struct Vec2 {
 
 double distance(Vec2 a, Vec2 b);
 
+/// A leg ending at `kForever` never ends.
+inline constexpr SimTime kForever =
+    SimTime::nanos(std::numeric_limits<std::int64_t>::max());
+
+/// A stretch of straight-line motion: `vel` (m/s) holds exactly over
+/// [t, until) for the `t` the leg was queried at, so
+/// position(t + dt) == position(t) + vel * dt there. The WLAN layer solves
+/// its coverage crossings on it instead of polling position().
+struct Leg {
+  Vec2 vel;
+  SimTime until = kForever;
+};
+
 /// Deterministic position-over-time model sampled by the WLAN layer.
 class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
   virtual Vec2 position(SimTime t) const = 0;
+  /// The leg in force at `t`.
+  virtual Leg leg(SimTime t) const = 0;
 };
 
 class StaticPosition final : public MobilityModel {
  public:
   explicit StaticPosition(Vec2 p) : p_(p) {}
   Vec2 position(SimTime) const override { return p_; }
+  Leg leg(SimTime) const override { return {}; }
 
  private:
   Vec2 p_;
@@ -37,6 +54,7 @@ class LinearMobility final : public MobilityModel {
  public:
   LinearMobility(Vec2 start, Vec2 velocity_mps, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  Leg leg(SimTime t) const override;
 
  private:
   Vec2 start_;
@@ -50,6 +68,8 @@ class BounceMobility final : public MobilityModel {
  public:
   BounceMobility(Vec2 a, Vec2 b, double speed_mps, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  /// The current half-leg, up to the next turnaround.
+  Leg leg(SimTime t) const override;
 
   /// Time for one full leg (a→b).
   SimTime leg_duration() const;
@@ -71,6 +91,9 @@ class WaypointMobility final : public MobilityModel {
   };
   WaypointMobility(Vec2 start, std::vector<Leg> legs, SimTime t0 = SimTime{});
   Vec2 position(SimTime t) const override;
+  /// The current segment, up to its end (this class's `Leg` names a
+  /// waypoint, hence the qualified return type).
+  fhmip::Leg leg(SimTime t) const override;
 
  private:
   struct Segment {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -61,6 +62,12 @@ struct WlanConfig {
 /// Owns access points, mobile-host radios and the association state machine:
 /// position sampling, L2 triggers, handoff blackouts, per-(AP,MH) radio
 /// links, and periodic router advertisements.
+///
+/// Hosts are evaluated on a fixed tick grid, but only at the ticks where
+/// their state can change: each evaluation solves, on the host's current
+/// mobility leg, for the earliest coverage crossing and files the host in a
+/// wake calendar keyed by tick index (DESIGN.md, "WLAN layer: the wake
+/// calendar").
 class WlanManager {
  public:
   WlanManager(Simulation& sim, WlanConfig cfg);
@@ -103,6 +110,10 @@ class WlanManager {
     std::unique_ptr<SimplexLink> down;  // AR -> MH
     std::unique_ptr<SimplexLink> up;    // MH -> AR
   };
+  /// Tick index of a host that no tick needs to evaluate.
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+
   struct MhRecord {
     Node* node = nullptr;
     std::unique_ptr<MobilityModel> mobility;
@@ -110,10 +121,31 @@ class WlanManager {
     NodeId attached = kNoNode;
     bool in_handoff = false;
     std::set<NodeId> triggered;  // APs already L2-ST'd since last attach
+    std::int64_t wake = kNever;  // tick index this host is filed under
+  };
+  /// What one evaluation of a host would do; empty when nothing changes.
+  struct Decision {
+    enum class Act { kNone, kAttach, kHandoff, kDetach };
+    std::vector<AccessPoint*> triggers;  // L2-STs to fire, in AP id order
+    Act act = Act::kNone;
+    AccessPoint* target = nullptr;  // for kAttach and kHandoff
+    bool acts() const { return act != Act::kNone || !triggers.empty(); }
   };
 
   void tick();
-  void evaluate(MhId mh, MhRecord& rec);
+  /// The association state machine, split so the audit can ask what a
+  /// host would do without doing it. decide() has no simulation side
+  /// effects.
+  Decision decide(const MhRecord& rec, Vec2 pos);
+  void apply(MhId mh, MhRecord& rec, const Decision& d);
+  /// Evaluates `mh`, now at `pos`; returns whether anything changed.
+  bool evaluate(MhId mh, MhRecord& rec, Vec2 pos);
+  /// Files `mh` under tick `k`, replacing any earlier filing.
+  void arm(MhId mh, MhRecord& rec, std::int64_t k);
+  /// The earliest tick after the current one at which evaluating `rec`
+  /// (just evaluated at `pos`; `acted` as evaluate() returned) could
+  /// change anything, or kNever.
+  std::int64_t next_wake(const MhRecord& rec, Vec2 pos, bool acted);
   AccessPoint* best_candidate(Vec2 pos, NodeId exclude);
   void start_handoff(MhId mh, MhRecord& rec, AccessPoint& target);
   void detach(MhId mh, MhRecord& rec);
@@ -146,9 +178,16 @@ class WlanManager {
   std::unordered_map<NodeId, AccessPoint*> ap_index_;
   std::unordered_map<std::uint64_t, std::vector<AccessPoint*>> ap_grid_;
   double grid_cell_ = 0;
-  bool grid_dirty_ = false;
+  bool grid_dirty_ = true;  // also before the first AP: sets grid_cell_
   std::vector<AccessPoint*> nearby_scratch_;
   std::map<NodeId, std::set<MhId>> attached_mhs_;
+  // Wake calendar: tick index -> hosts filed under it (unordered, possibly
+  // duplicated or stale; a host counts only where `MhRecord::wake` says).
+  // Tick k fires at start() time + k * cfg_.tick; next_tick_ is the index
+  // of the pending tick event.
+  std::map<std::int64_t, std::vector<MhId>> calendar_;
+  SimTime grid_origin_;
+  std::int64_t next_tick_ = 0;
   bool running_ = false;
   // Pending self-scheduled events, cancelled in the destructor so no timer
   // callback can fire into a dead manager. The tick loop and each AP's RA
@@ -161,6 +200,7 @@ class WlanManager {
   std::size_t handoffs_ = 0;
   SimTime last_blackout_;
   obs::Counter* m_handoffs_ = nullptr;       // wlan/handoffs
+  obs::Counter* m_evaluations_ = nullptr;    // wlan/evaluations
   obs::Histogram* m_blackout_ms_ = nullptr;  // wlan/blackout_ms
   NodeId next_ap_id_ = 10000;  // AP ids live in a separate space from nodes
 };

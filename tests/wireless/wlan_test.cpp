@@ -301,6 +301,151 @@ TEST_F(WlanFixture, CoverageAcrossGridCellBoundaryStillAttaches) {
   EXPECT_EQ(wlan.attached_ap(mh.id()), a.id());
 }
 
+// The WLAN layer evaluates a host only at the ticks where its state can
+// change. The cases below pin the instants that per-tick polling produced,
+// derived by hand from the geometry: an event fires at the first tick (10 ms
+// grid from t = 0) at or after the crossing.
+
+std::uint64_t evaluations(Simulation& sim) {
+  return sim.metrics().counter("wlan/evaluations").value();
+}
+
+TEST_F(WlanFixture, LinearCrossingInstantsByHand) {
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_ap(ar2, {212, 0}, 112, nullptr);
+  // x(t) = 3.1 + 7.3 (t - 2.5 s), still before 2.5 s.
+  wlan.add_mh(mh,
+              std::make_unique<LinearMobility>(Vec2{3.1, 0}, Vec2{7.3, 0},
+                                               2500_ms),
+              &cb);
+  wlan.start();
+  sim.run_until(30_s);
+  // ar2 covers from x = 100: t = 2.5 + 96.9 / 7.3 = 15.774 s.
+  EXPECT_EQ(cb.time_of("trigger"), 15'780_ms);
+  // ar1's exit margin from x = 110: t = 2.5 + 106.9 / 7.3 = 17.144 s.
+  EXPECT_EQ(cb.time_of("predisconnect"), 17'150_ms);
+  EXPECT_EQ(cb.time_of("attached", 1), 17'150_ms + 202_ms);
+  EXPECT_EQ(wlan.handoffs_started(), 1u);
+}
+
+TEST_F(WlanFixture, BounceCrossingInstantsByHand) {
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_ap(ar2, {212, 0}, 112, nullptr);
+  wlan.add_mh(mh,
+              std::make_unique<BounceMobility>(Vec2{0, 0}, Vec2{212, 0}, 9.7),
+              &cb);
+  wlan.start();
+  sim.run_until(80_s);
+  // Half-leg L = 212 / 9.7 = 21.856 s; each handoff starts 110 m past the
+  // serving AP: t = n L + 110 / 9.7 = 11.340, 33.196, 55.052, 76.907 s.
+  ASSERT_EQ(cb.count("predisconnect"), 4);
+  EXPECT_EQ(cb.time_of("predisconnect", 0), 11'350_ms);
+  EXPECT_EQ(cb.time_of("predisconnect", 1), 33'200_ms);
+  EXPECT_EQ(cb.time_of("predisconnect", 2), 55'060_ms);
+  EXPECT_EQ(cb.time_of("predisconnect", 3), 76'910_ms);
+  // The first L2-ST: ar2 covers from x = 100, t = 10.309 s.
+  EXPECT_EQ(cb.time_of("trigger"), 10'310_ms);
+}
+
+TEST_F(WlanFixture, AttachInsideAnnulusOnChordMissingInnerCircle) {
+  // Attached at d = 111, between the 110 m inner circle and the 112 m
+  // edge, on a chord that never reaches the inner circle: the host must be
+  // watched until it leaves the disc at x = sqrt(112^2 - 111^2) = 14.933 m,
+  // t = 1.4933 s.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_mh(mh, std::make_unique<LinearMobility>(Vec2{0, 111}, Vec2{10, 0}),
+              &cb);
+  wlan.start();
+  sim.run_until(3_s);
+  ASSERT_EQ(cb.count("attached"), 1);
+  EXPECT_EQ(cb.time_of("attached"), 0_s);
+  ASSERT_EQ(cb.count("detached"), 1);
+  EXPECT_EQ(cb.time_of("detached"), 1'500_ms);
+  EXPECT_EQ(wlan.attached_ap(mh.id()), kNoNode);
+}
+
+TEST_F(WlanFixture, HardDetachThenReentryOfPreviouslyTriggeredAp) {
+  // Attached to ar1 at (60, 0), ar2 (150 m away) triggers at once. Heading
+  // north the host leaves ar2, then ar1 (no candidate: a hard detach), and
+  // comes back into ar2 on the last leg. A hard detach keeps `triggered`,
+  // so ar2 is still listed there while the host is detached.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  AccessPoint& b = wlan.add_ap(ar2, {150, 0}, 112, nullptr);
+  wlan.add_mh(mh,
+              std::make_unique<WaypointMobility>(
+                  Vec2{60, 0},
+                  std::vector<WaypointMobility::Leg>{{{60, 150}, 10.0},
+                                                     {{150, 150}, 10.0},
+                                                     {{150, 0}, 7.0}}),
+              &cb);
+  wlan.start();
+  sim.run_until(60_s);
+  EXPECT_EQ(cb.time_of("trigger"), 10_ms);
+  // Leaves ar1 at y = sqrt(112^2 - 60^2) = 94.572 m, t = 9.457 s.
+  ASSERT_EQ(cb.count("detached"), 1);
+  EXPECT_EQ(cb.time_of("detached"), 9'460_ms);
+  // Last leg from (150, 150) at 24 s: ar2 covers from y = 112,
+  // t = 24 + 38 / 7 = 29.429 s.
+  ASSERT_EQ(cb.count("attached"), 2);
+  EXPECT_EQ(cb.time_of("attached", 1), 29'430_ms);
+  EXPECT_EQ(wlan.attached_ap(mh.id()), b.id());
+  EXPECT_EQ(wlan.handoffs_started(), 0u);
+}
+
+TEST_F(WlanFixture, HostStoppedInAnnulusIsEvaluatedOnceThenNever) {
+  // Walks from d = 100 to d = 111 at 10 m/s and stops at 1.1 s inside the
+  // exit margin, with no candidate to hand off to.
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_mh(mh,
+              std::make_unique<WaypointMobility>(
+                  Vec2{100, 0},
+                  std::vector<WaypointMobility::Leg>{{{111, 0}, 10.0}}),
+              &cb);
+  wlan.start();
+  sim.run_until(1'099_ms);
+  const std::uint64_t before_stop = evaluations(sim);
+  sim.run_until(2_s);
+  EXPECT_EQ(evaluations(sim), before_stop + 1);
+  sim.run_until(60_s);
+  EXPECT_EQ(evaluations(sim), before_stop + 1);
+  EXPECT_EQ(cb.count("attached"), 1);
+  EXPECT_EQ(wlan.handoffs_started(), 0u);
+}
+
+TEST_F(WlanFixture, StaticHostsAreEvaluatedAtStartAndFirstTickOnly) {
+  WlanManager wlan(sim, cfg);
+  wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  wlan.add_mh(mh, std::make_unique<StaticPosition>(Vec2{10, 0}), &cb);
+  wlan.start();
+  sim.run_until(10_s);
+  EXPECT_EQ(evaluations(sim), 2u);
+}
+
+TEST_F(WlanFixture, ApAndHostAddedWhileRunningAreEvaluatedNextTick) {
+  // Hosts asleep on the calendar must still see an AP added mid-run, and a
+  // host added mid-run must be picked up: both at the next tick, as a walk
+  // over every host at every tick would.
+  WlanManager wlan(sim, cfg);
+  wlan.add_mh(mh, std::make_unique<StaticPosition>(Vec2{10, 0}), &cb);
+  wlan.start();
+  sim.run_until(1'005_ms);
+  EXPECT_EQ(wlan.attached_ap(mh.id()), kNoNode);
+  AccessPoint& a = wlan.add_ap(ar1, {0, 0}, 112, nullptr);
+  Node& late = net.add_node("late");
+  RecordingCallbacks late_cb;
+  late_cb.sim = &sim;
+  wlan.add_mh(late, std::make_unique<StaticPosition>(Vec2{20, 0}), &late_cb);
+  sim.run_until(2_s);
+  EXPECT_EQ(cb.time_of("attached"), 1'010_ms);
+  EXPECT_EQ(late_cb.time_of("attached"), 1'010_ms);
+  EXPECT_EQ(wlan.attached_ap(late.id()), a.id());
+}
+
 TEST_F(WlanFixture, PositionIntrospection) {
   WlanManager wlan(sim, cfg);
   wlan.add_ap(ar1, {0, 0}, 112, nullptr);
