@@ -24,18 +24,8 @@ ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
   // torn down without release), its packets are flushed into an accounted
   // drop bucket and the context goes with it.
   buffers_.set_reap_handler([this](BufferManager::LeaseKey k) {
-    const MhId mh = BufferManager::lease_mh(k);
-    switch (BufferManager::lease_role(k)) {
-      case ArRole::kPar:
-        teardown_par(mh, DropReason::kLeaseReclaimed);
-        break;
-      case ArRole::kNar:
-        teardown_nar(mh, DropReason::kLeaseReclaimed);
-        break;
-      case ArRole::kIntra:
-        teardown_intra(mh, DropReason::kLeaseReclaimed);
-        break;
-    }
+    teardown(BufferManager::lease_mh(k), BufferManager::lease_role(k),
+             DropReason::kLeaseReclaimed);
   });
   buffers_.set_observer(&sim, node_.name());
   obs::MetricsRegistry& m = sim.metrics();
@@ -45,9 +35,7 @@ ArAgent::ArAgent(Node& node, BufferSchemeConfig cfg, RetransmitPolicy rtx)
 }
 
 ArAgent::~ArAgent() {
-  while (!par_.empty()) teardown_par(par_.begin()->first);
-  while (!nar_.empty()) teardown_nar(nar_.begin()->first);
-  while (!intra_.empty()) teardown_intra(intra_.begin()->first);
+  teardown_all(DropReason::kBufferExpired);
   node_.routes().remove_prefix_route(prefix());
   node_.remove_control_handler(ctrl_id_);
 }
@@ -55,15 +43,7 @@ ArAgent::~ArAgent() {
 void ArAgent::fault_reset() {
   ++counters_.crashes;
   m_crashes_->inc();
-  while (!par_.empty()) {
-    teardown_par(par_.begin()->first, DropReason::kFaultInjected);
-  }
-  while (!nar_.empty()) {
-    teardown_nar(nar_.begin()->first, DropReason::kFaultInjected);
-  }
-  while (!intra_.empty()) {
-    teardown_intra(intra_.begin()->first, DropReason::kFaultInjected);
-  }
+  teardown_all(DropReason::kFaultInjected);
   rates_.clear();
   // Post-crash state must be indistinguishable from a freshly started
   // agent: no handover context of any kind survives.
@@ -175,8 +155,8 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   // Cancellation: start time and lifetime both zero (§3.2.2.1).
   if (m.has_bi && m.bi.lifetime.is_zero() && m.bi.start_time.is_zero() &&
       m.bi.size_pkts == 0) {
-    teardown_par(m.mh);
-    teardown_intra(m.mh);
+    teardown(m.mh, ArRole::kPar);
+    teardown(m.mh, ArRole::kIntra);
     return;
   }
 
@@ -184,7 +164,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     // §3.2.2.4 — pure link-layer handoff under this same router: allocate
     // locally and answer with PrRtAdv directly.
     ++counters_.intra_handoffs;
-    teardown_intra(m.mh);
+    teardown(m.mh, ArRole::kIntra);
     IntraContext ctx;
     ctx.mh = m.mh;
     ctx.rtsolpr_seq = m.seq;
@@ -200,8 +180,8 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
           if (it != intra_.end()) it->second.buffering = true;
         });
       }
-      ctx.lifetime_timer =
-          sim.in(life, [this, mh = m.mh] { teardown_intra(mh); });
+      ctx.lifetime_timer = sim.in(
+          life, [this, mh = m.mh] { teardown(mh, ArRole::kIntra); });
     }
     PrRtAdvMsg adv;
     adv.mh = m.mh;
@@ -221,7 +201,7 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   }
 
   // Inter-AR handover: open a PAR context and negotiate with the NAR.
-  teardown_par(m.mh);
+  teardown(m.mh, ArRole::kPar);
   ParContext ctx;
   ctx.mh = m.mh;
   ctx.pcoa = pcoa;
@@ -250,7 +230,8 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
   const SimTime life =
       ctx.request.lifetime.is_zero() ? cfg_.lifetime : ctx.request.lifetime;
   ctx.lease_deadline = sim.now() + life + cfg_.lease_grace;
-  ctx.lifetime_timer = sim.in(life, [this, mh = m.mh] { teardown_par(mh); });
+  ctx.lifetime_timer =
+      sim.in(life, [this, mh = m.mh] { teardown(mh, ArRole::kPar); });
 
   HiMsg hi;
   hi.mh = m.mh;
@@ -337,7 +318,7 @@ void ArAgent::on_hi(const HiMsg& m) {
     send_control(m.par_addr, hack);
     return;
   }
-  teardown_nar(m.mh);
+  teardown(m.mh, ArRole::kNar);
   NarContext ctx;
   ctx.mh = m.mh;
   ctx.pcoa = m.pcoa;
@@ -378,18 +359,11 @@ void ArAgent::on_hi(const HiMsg& m) {
     FHMIP_AUDIT_MSG("fastho", ctx.grant <= m.br.size_pkts,
                     "granted " + std::to_string(ctx.grant) + " of " +
                         std::to_string(m.br.size_pkts));
-    if (m.br.size_pkts > 0) {
-      // Export the admission decision: did pool pressure shrink or refuse
-      // this BR? The grant itself travels back in the HAck(+BA).
-      const obs::HoEventKind kind =
-          ctx.grant == 0            ? obs::HoEventKind::kBufferDeny
-          : ctx.grant < m.br.size_pkts ? obs::HoEventKind::kBufferShrink
-                                       : obs::HoEventKind::kBufferGrant;
-      sim.timeline().record(sim.now(), m.mh, kind, node_.name());
-    }
+    // The grant itself travels back in the HAck(+BA).
+    record_grant(m.mh, ctx.grant, m.br.size_pkts);
   }
-  ctx.lifetime_timer =
-      node_.sim().in(life, [this, mh = m.mh] { teardown_nar(mh); });
+  ctx.lifetime_timer = node_.sim().in(
+      life, [this, mh = m.mh] { teardown(mh, ArRole::kNar); });
   // Host route for the PCoA: packets tunneled here with the old address
   // must not bounce back toward the PAR's subnet.
   node_.routes().set_host_route(
@@ -469,16 +443,9 @@ void ArAgent::on_hack(const HackMsg& m) {
     const bool need_local = cfg_.mode == BufferMode::kParOnly ||
                             cfg_.classify || ctx.nar_grant == 0;
     if (need_local) {
-      ctx.par_grant =
-          buffers_.allocate(BufferManager::key(m.mh, ArRole::kPar),
-                            ctx.request.size_pkts, ctx.lease_deadline);
-      const obs::HoEventKind kind =
-          ctx.par_grant == 0 ? obs::HoEventKind::kBufferDeny
-          : ctx.par_grant < ctx.request.size_pkts
-              ? obs::HoEventKind::kBufferShrink
-              : obs::HoEventKind::kBufferGrant;
-      node_.sim().timeline().record(node_.sim().now(), m.mh, kind,
-                                    node_.name());
+      ctx.grant = buffers_.allocate(BufferManager::key(m.mh, ArRole::kPar),
+                                    ctx.request.size_pkts, ctx.lease_deadline);
+      record_grant(m.mh, ctx.grant, ctx.request.size_pkts);
     }
   }
 
@@ -490,8 +457,8 @@ void ArAgent::on_hack(const HackMsg& m) {
   adv.ncoa = m.ncoa;
   adv.grant.nar_ok = ctx.nar_grant > 0;
   adv.grant.nar_pkts = ctx.nar_grant;
-  adv.grant.par_ok = ctx.par_grant > 0;
-  adv.grant.par_pkts = ctx.par_grant;
+  adv.grant.par_ok = ctx.grant > 0;
+  adv.grant.par_pkts = ctx.grant;
   adv.seq = ctx.rtsolpr_seq;
   ctx.adv_msg = adv;
   ctx.adv_sent = true;
@@ -549,8 +516,8 @@ void ArAgent::on_fbu(const FbuMsg& m) {
     ctx.redirecting = true;
     ctx.last_fbu_seq = m.seq;
     ctx.lease_deadline = node_.sim().now() + cfg_.lifetime + cfg_.lease_grace;
-    ctx.lifetime_timer =
-        node_.sim().in(cfg_.lifetime, [this, mh = m.mh] { teardown_par(mh); });
+    ctx.lifetime_timer = node_.sim().in(
+        cfg_.lifetime, [this, mh = m.mh] { teardown(mh, ArRole::kPar); });
     it = par_.emplace(m.mh, std::move(ctx)).first;
   } else if (m.seq != kNoCtrlSeq && it->second.last_fbu_seq == m.seq) {
     // Retransmission: the binding is already in place, just re-answer.
@@ -595,7 +562,7 @@ void ArAgent::on_fna(const FnaMsg& m, Address src) {
       ctx.last_fna_seq = m.seq;
     }
     ctx.buffering = false;
-    if (m.has_bf) drain_intra(m.mh);
+    if (m.has_bf) drain(m.mh, ArRole::kIntra);
     return;
   }
   auto it = nar_.find(m.mh);
@@ -623,7 +590,7 @@ void ArAgent::on_fna(const FnaMsg& m, Address src) {
     // idempotent, so no second drain chain can start.
     FHMIP_AUDIT("fastho", counters_.bf_sent <= counters_.fna);
     send_control(ctx.par_addr, bf);
-    drain_nar(m.mh);
+    drain(m.mh, ArRole::kNar);
   }
 }
 
@@ -631,14 +598,13 @@ void ArAgent::on_bf(const BfMsg& m) {
   ++counters_.bf_received;
   if (auto it = intra_.find(m.mh); it != intra_.end()) {
     it->second.buffering = false;
-    it->second.forward_to = m.forward_to;
-    drain_intra(m.mh);
+    drain(m.mh, ArRole::kIntra);
     return;
   }
   auto it = par_.find(m.mh);
   if (it == par_.end()) return;
   it->second.bf_received = true;
-  drain_par(m.mh);
+  drain(m.mh, ArRole::kPar);
 }
 
 void ArAgent::on_buffer_full(const BufferFullMsg& m) {
@@ -650,7 +616,7 @@ void ArAgent::on_buffer_full(const BufferFullMsg& m) {
 void ArAgent::on_bi(const BiMsg& m) {
   // Standalone smooth-handover baseline (§2.4): allocate, acknowledge, and
   // buffer from start_time (or immediately) until BF.
-  teardown_intra(m.mh);
+  teardown(m.mh, ArRole::kIntra);
   Simulation& sim = node_.sim();
   IntraContext ctx;
   ctx.mh = m.mh;
@@ -659,13 +625,7 @@ void ArAgent::on_bi(const BiMsg& m) {
   ctx.grant = buffers_.allocate(BufferManager::key(m.mh, ArRole::kIntra),
                                 m.req.size_pkts,
                                 sim.now() + life + cfg_.lease_grace);
-  if (m.req.size_pkts > 0) {
-    const obs::HoEventKind kind =
-        ctx.grant == 0                ? obs::HoEventKind::kBufferDeny
-        : ctx.grant < m.req.size_pkts ? obs::HoEventKind::kBufferShrink
-                                      : obs::HoEventKind::kBufferGrant;
-    sim.timeline().record(sim.now(), m.mh, kind, node_.name());
-  }
+  record_grant(m.mh, ctx.grant, m.req.size_pkts);
   if (m.req.start_time > sim.now()) {
     ctx.start_timer = sim.at(m.req.start_time, [this, mh = m.mh] {
       auto it = intra_.find(mh);
@@ -674,7 +634,8 @@ void ArAgent::on_bi(const BiMsg& m) {
   } else {
     ctx.buffering = ctx.grant > 0;
   }
-  ctx.lifetime_timer = sim.in(life, [this, mh = m.mh] { teardown_intra(mh); });
+  ctx.lifetime_timer =
+      sim.in(life, [this, mh = m.mh] { teardown(mh, ArRole::kIntra); });
   BaMsg ba;
   ba.mh = m.mh;
   ba.ok = ctx.grant > 0;
@@ -710,7 +671,7 @@ void ArAgent::handle_subnet_packet(PacketPtr p) {
     const bool keep_order = ctx.draining && buf != nullptr && !buf->empty();
     if ((hold || keep_order) && buf != nullptr) {
       if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        note_buffered();
       } else {
         drop(std::move(p), DropReason::kBufferTailDrop);
       }
@@ -759,7 +720,7 @@ void ArAgent::par_redirect(ParContext& ctx, PacketPtr p) {
     tunnel_to(ctx.nar_addr, ForwardDirective::kForwardOnly, std::move(p));
     return;
   }
-  const AllocationCase alloc{ctx.nar_grant > 0, ctx.par_grant > 0};
+  const AllocationCase alloc{ctx.nar_grant > 0, ctx.grant > 0};
   switch (decide_buffering(cfg_, alloc, p->tclass)) {
     case BufferAction::kBufferAtNar:
       tunnel_to(ctx.nar_addr, ForwardDirective::kBufferAtNar, std::move(p));
@@ -776,7 +737,7 @@ void ArAgent::par_redirect(ParContext& ctx, PacketPtr p) {
           buffers_.buffer(BufferManager::key(ctx.mh, ArRole::kPar));
       if (buf != nullptr && buf->free_slots() > cfg_.reserve_a) {
         if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-          { ++counters_.buffered_local; m_buffered_->inc(); }
+          note_buffered();
           return;
         }
       }
@@ -803,14 +764,14 @@ void ArAgent::par_buffer_local(ParContext& ctx, PacketPtr p) {
     // path): allocate one now if the pool allows it.
     const std::uint32_t want =
         ctx.request.size_pkts > 0 ? ctx.request.size_pkts : cfg_.request_pkts;
-    ctx.par_grant = buffers_.allocate(k, want, ctx.lease_deadline);
+    ctx.grant = buffers_.allocate(k, want, ctx.lease_deadline);
     buf = buffers_.buffer(k);
   }
   if (buf == nullptr || buf->push(p) != HandoffBuffer::PushResult::kStored) {
     drop(std::move(p), DropReason::kBufferTailDrop);
     return;
   }
-  { ++counters_.buffered_local; m_buffered_->inc(); }
+  note_buffered();
 }
 
 void ArAgent::nar_handle(NarContext& ctx, PacketPtr p) {
@@ -822,7 +783,7 @@ void ArAgent::nar_handle(NarContext& ctx, PacketPtr p) {
     if (ctx.draining && buf != nullptr && !buf->empty() &&
         p->directive == ForwardDirective::kBufferAtNar) {
       if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        note_buffered();
         return;
       }
     }
@@ -857,10 +818,10 @@ void ArAgent::nar_buffer(NarContext& ctx, PacketPtr p) {
     PacketPtr evicted;
     switch (buf->push_evict_oldest_realtime(p, evicted)) {
       case HandoffBuffer::PushResult::kStored:
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        note_buffered();
         return;
       case HandoffBuffer::PushResult::kStoredEvicting:
-        { ++counters_.buffered_local; m_buffered_->inc(); }
+        note_buffered();
         drop(std::move(evicted), DropReason::kBufferFrontDrop);
         return;
       case HandoffBuffer::PushResult::kRejected:
@@ -870,7 +831,7 @@ void ArAgent::nar_buffer(NarContext& ctx, PacketPtr p) {
     return;
   }
   if (buf->push(p) == HandoffBuffer::PushResult::kStored) {
-    { ++counters_.buffered_local; m_buffered_->inc(); }
+    note_buffered();
     return;
   }
   // Buffer full. High-priority packets (or any packet in class-disabled
@@ -919,156 +880,114 @@ void ArAgent::tunnel_to(Address ar, ForwardDirective d, PacketPtr p) {
 }
 
 // ---------------------------------------------------------------------------
-// Buffer release (§3.2.2.3)
+// Buffered sessions: lookup, buffer release (§3.2.2.3) and teardown
 // ---------------------------------------------------------------------------
 
-void ArAgent::drain_par(MhId mh) {
-  auto it = par_.find(mh);
-  if (it == par_.end() || it->second.draining) return;
-  it->second.draining = true;
-  node_.sim().timeline().record(node_.sim().now(), mh,
-                                obs::HoEventKind::kDrainStart, node_.name());
-  drain_par_step(mh);
-}
-
-void ArAgent::drain_par_step(MhId mh) {
-  auto it = par_.find(mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
-  const auto k = BufferManager::key(mh, ArRole::kPar);
-  HandoffBuffer* buf = buffers_.buffer(k);
-  if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
-    buffers_.release(k);
-    ctx.par_grant = 0;
-    node_.sim().timeline().record(node_.sim().now(), mh,
-                                  obs::HoEventKind::kDrainEnd, node_.name());
-    return;
+ArAgent::Session* ArAgent::session(MhId mh, ArRole role) {
+  auto find = [mh](auto& contexts) -> Session* {
+    auto it = contexts.find(mh);
+    return it == contexts.end() ? nullptr : &it->second;
+  };
+  switch (role) {
+    case ArRole::kPar:
+      return find(par_);
+    case ArRole::kNar:
+      return find(nar_);
+    case ArRole::kIntra:
+      return find(intra_);
   }
-  PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  tunnel_to(ctx.nar_addr, ForwardDirective::kDrain, std::move(p));
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_par_step(mh); });
+  return nullptr;
 }
 
-void ArAgent::drain_nar(MhId mh) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end() || it->second.draining) return;
-  it->second.draining = true;
+void ArAgent::note_buffered() {
+  ++counters_.buffered_local;
+  m_buffered_->inc();
+}
+
+void ArAgent::record_grant(MhId mh, std::uint32_t granted,
+                           std::uint32_t requested) {
+  if (requested == 0) return;
+  // Export the admission decision: did pool pressure shrink or refuse it?
+  const obs::HoEventKind kind = granted == 0 ? obs::HoEventKind::kBufferDeny
+                                : granted < requested
+                                    ? obs::HoEventKind::kBufferShrink
+                                    : obs::HoEventKind::kBufferGrant;
+  node_.sim().timeline().record(node_.sim().now(), mh, kind, node_.name());
+}
+
+void ArAgent::drain(MhId mh, ArRole role) {
+  Session* s = session(mh, role);
+  if (s == nullptr || s->draining) return;
+  s->draining = true;
   node_.sim().timeline().record(node_.sim().now(), mh,
                                 obs::HoEventKind::kDrainStart, node_.name());
-  drain_nar_step(mh);
+  drain_step(mh, role);
 }
 
-void ArAgent::drain_nar_step(MhId mh) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end()) return;
-  NarContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
+void ArAgent::drain_step(MhId mh, ArRole role) {
+  Session* s = session(mh, role);
+  if (s == nullptr || !s->draining) return;  // stopped (teardown + re-create)
   // The NAR only releases its buffer once the MH has arrived (FNA+BF).
-  FHMIP_AUDIT("fastho", ctx.mh_here);
-  const auto k = BufferManager::key(mh, ArRole::kNar);
+  FHMIP_AUDIT("fastho", role != ArRole::kNar ||
+                            static_cast<NarContext*>(s)->mh_here);
+  const auto k = BufferManager::key(mh, role);
   HandoffBuffer* buf = buffers_.buffer(k);
   if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
+    s->draining = false;
     buffers_.release(k);
-    ctx.grant = 0;
+    s->grant = 0;
     node_.sim().timeline().record(node_.sim().now(), mh,
                                   obs::HoEventKind::kDrainEnd, node_.name());
     return;
   }
   PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  deliver(mh, std::move(p));
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_nar_step(mh); });
-}
-
-void ArAgent::drain_intra(MhId mh) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end() || it->second.draining) return;
-  it->second.draining = true;
-  node_.sim().timeline().record(node_.sim().now(), mh,
-                                obs::HoEventKind::kDrainStart, node_.name());
-  drain_intra_step(mh);
-}
-
-void ArAgent::drain_intra_step(MhId mh) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end()) return;
-  IntraContext& ctx = it->second;
-  if (!ctx.draining) return;  // chain was stopped (teardown + re-create)
-  const auto k = BufferManager::key(mh, ArRole::kIntra);
-  HandoffBuffer* buf = buffers_.buffer(k);
-  if (buf == nullptr || buf->empty()) {
-    ctx.draining = false;
-    buffers_.release(k);
-    ctx.grant = 0;
-    node_.sim().timeline().record(node_.sim().now(), mh,
-                                  obs::HoEventKind::kDrainEnd, node_.name());
-    return;
-  }
-  PacketPtr p = buf->pop();
-  { ++counters_.drained; m_drained_->inc(); }
-  if (ctx.forward_to.valid()) {
-    // Smooth-handover baseline: tunnel to the MH's new care-of address.
-    p->directive = ForwardDirective::kNone;
-    p->encapsulate(ctx.forward_to);
-    node_.send(std::move(p));
+  ++counters_.drained;
+  m_drained_->inc();
+  // The PAR releases through the tunnel; the NAR and the intra-AR role
+  // hand the packet to the radio.
+  if (role == ArRole::kPar) {
+    tunnel_to(static_cast<ParContext*>(s)->nar_addr, ForwardDirective::kDrain,
+              std::move(p));
   } else {
     deliver(mh, std::move(p));
   }
-  node_.sim().in(cfg_.drain_gap, [this, mh] { drain_intra_step(mh); });
+  node_.sim().in(cfg_.drain_gap, [this, mh, role] { drain_step(mh, role); });
 }
 
-// ---------------------------------------------------------------------------
-// Context teardown
-// ---------------------------------------------------------------------------
-
-void ArAgent::teardown_par(MhId mh, DropReason reason) {
-  auto it = par_.find(mh);
-  if (it == par_.end()) return;
-  ParContext& ctx = it->second;
-  node_.sim().cancel(ctx.start_timer);
-  node_.sim().cancel(ctx.lifetime_timer);
-  if (ctx.hi_timer != kInvalidEvent) node_.sim().cancel(ctx.hi_timer);
-  const auto k = BufferManager::key(mh, ArRole::kPar);
+void ArAgent::teardown(MhId mh, ArRole role, DropReason reason) {
+  Session* s = session(mh, role);
+  if (s == nullptr) return;
+  Simulation& sim = node_.sim();
+  sim.cancel(s->start_timer);
+  sim.cancel(s->lifetime_timer);
+  if (role == ArRole::kPar) sim.cancel(static_cast<ParContext*>(s)->hi_timer);
+  if (role == ArRole::kNar) {
+    node_.routes().remove_host_route(static_cast<NarContext*>(s)->pcoa);
+  }
+  const auto k = BufferManager::key(mh, role);
   if (HandoffBuffer* buf = buffers_.buffer(k)) {
-    buf->flush(
-        [this, reason](PacketPtr p) { drop(std::move(p), reason); });
+    buf->flush([this, reason](PacketPtr p) { drop(std::move(p), reason); });
   }
   buffers_.release(k);
-  par_.erase(it);
+  switch (role) {
+    case ArRole::kPar:
+      par_.erase(mh);
+      break;
+    case ArRole::kNar:
+      nar_.erase(mh);
+      break;
+    case ArRole::kIntra:
+      intra_.erase(mh);
+      break;
+  }
 }
 
-void ArAgent::teardown_nar(MhId mh, DropReason reason) {
-  auto it = nar_.find(mh);
-  if (it == nar_.end()) return;
-  NarContext& ctx = it->second;
-  node_.sim().cancel(ctx.lifetime_timer);
-  node_.routes().remove_host_route(ctx.pcoa);
-  const auto k = BufferManager::key(mh, ArRole::kNar);
-  if (HandoffBuffer* buf = buffers_.buffer(k)) {
-    buf->flush(
-        [this, reason](PacketPtr p) { drop(std::move(p), reason); });
+void ArAgent::teardown_all(DropReason reason) {
+  while (!par_.empty()) teardown(par_.begin()->first, ArRole::kPar, reason);
+  while (!nar_.empty()) teardown(nar_.begin()->first, ArRole::kNar, reason);
+  while (!intra_.empty()) {
+    teardown(intra_.begin()->first, ArRole::kIntra, reason);
   }
-  buffers_.release(k);
-  nar_.erase(it);
-}
-
-void ArAgent::teardown_intra(MhId mh, DropReason reason) {
-  auto it = intra_.find(mh);
-  if (it == intra_.end()) return;
-  IntraContext& ctx = it->second;
-  node_.sim().cancel(ctx.start_timer);
-  node_.sim().cancel(ctx.lifetime_timer);
-  const auto k = BufferManager::key(mh, ArRole::kIntra);
-  if (HandoffBuffer* buf = buffers_.buffer(k)) {
-    buf->flush(
-        [this, reason](PacketPtr p) { drop(std::move(p), reason); });
-  }
-  buffers_.release(k);
-  intra_.erase(it);
 }
 
 // ---------------------------------------------------------------------------

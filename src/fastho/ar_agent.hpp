@@ -110,25 +110,31 @@ class ArAgent : public ArAttachListener {
   bool mh_attached(MhId mh) const { return attached_.count(mh) > 0; }
   bool has_par_context(MhId mh) const { return par_.count(mh) > 0; }
   bool has_nar_context(MhId mh) const { return nar_.count(mh) > 0; }
+  bool has_intra_context(MhId mh) const { return intra_.count(mh) > 0; }
   bool par_redirecting(MhId mh) const;
 
  private:
-  struct ParContext {
+  /// One buffered session: what every role's context shares. A session is
+  /// keyed like its lease, BufferManager::key(mh, role), and runs open ->
+  /// buffer -> drain -> teardown (DESIGN.md, "Buffered sessions").
+  struct Session {
     MhId mh = kNoNode;
+    std::uint32_t grant = 0;       // local lease size (0 = none)
+    bool draining = false;
+    EventId start_timer = kInvalidEvent;
+    EventId lifetime_timer = kInvalidEvent;
+  };
+  struct ParContext : Session {
     Address pcoa;
     Address nar_addr;
-    std::uint32_t par_grant = 0;   // local lease size (0 = none)
     std::uint32_t nar_grant = 0;   // what the NAR granted via HAck+BA
     bool nar_rejected = false;     // HAck refused / negotiation exhausted
     bool hack_received = false;
     bool redirecting = false;
     bool nar_full = false;         // Buffer Full received from the NAR
     bool bf_received = false;      // NAR released; stop buffering
-    bool draining = false;
     BufferRequest request;
     SimTime lease_deadline;        // reaper backstop for local allocations
-    EventId start_timer = kInvalidEvent;
-    EventId lifetime_timer = kInvalidEvent;
     // Reliability: the solicitation transaction this context answers, the
     // cached HI for retransmission, and the cached advertisement for
     // duplicate solicitations.
@@ -141,29 +147,19 @@ class ArAgent : public ArAttachListener {
     EventId hi_timer = kInvalidEvent;
     std::uint32_t hi_sends = 0;
   };
-  struct NarContext {
-    MhId mh = kNoNode;
+  struct NarContext : Session {
     Address pcoa;
     Address par_addr;
-    std::uint32_t grant = 0;
     bool mh_here = false;  // FNA received / attach seen
     bool full_signalled = false;
-    bool draining = false;
-    EventId lifetime_timer = kInvalidEvent;
     // Reliability: the HI transaction that built this context, with the
     // cached HAck a duplicate HI re-elicits (no re-allocation).
     CtrlSeq hi_seq = kNoCtrlSeq;
     CtrlSeq last_fna_seq = kNoCtrlSeq;
     HackMsg hack_msg;
   };
-  struct IntraContext {
-    MhId mh = kNoNode;
-    std::uint32_t grant = 0;
+  struct IntraContext : Session {
     bool buffering = false;
-    bool draining = false;
-    Address forward_to;  // standalone-BF forwarding target (baseline mode)
-    EventId start_timer = kInvalidEvent;
-    EventId lifetime_timer = kInvalidEvent;
     CtrlSeq rtsolpr_seq = kNoCtrlSeq;
     CtrlSeq last_fbu_seq = kNoCtrlSeq;
     CtrlSeq last_fna_seq = kNoCtrlSeq;
@@ -194,19 +190,20 @@ class ArAgent : public ArAttachListener {
   void tunnel_to(Address ar, ForwardDirective d, PacketPtr p);
   void drop(PacketPtr p, DropReason reason);
 
-  // Buffer release (§3.2.2.3), paced by cfg_.drain_gap. The public entry
-  // points are idempotent (a live chain is never doubled by a duplicate
-  // FNA/BF); the _step functions self-reschedule while packets remain.
-  void drain_par(MhId mh);
-  void drain_nar(MhId mh);
-  void drain_intra(MhId mh);
-  void drain_par_step(MhId mh);
-  void drain_nar_step(MhId mh);
-  void drain_intra_step(MhId mh);
-
-  void teardown_par(MhId mh, DropReason reason = DropReason::kBufferExpired);
-  void teardown_nar(MhId mh, DropReason reason = DropReason::kBufferExpired);
-  void teardown_intra(MhId mh, DropReason reason = DropReason::kBufferExpired);
+  // Buffered sessions. session() finds the context of `role` for `mh`.
+  // drain() starts the buffer release (§3.2.2.3), paced by cfg_.drain_gap;
+  // it is idempotent (a duplicate FNA/BF never doubles a live chain), and
+  // drain_step() self-reschedules while packets remain. teardown() flushes
+  // the lease's packets as `reason` drops and erases the context.
+  Session* session(MhId mh, ArRole role);
+  void drain(MhId mh, ArRole role);
+  void drain_step(MhId mh, ArRole role);
+  void teardown(MhId mh, ArRole role,
+                DropReason reason = DropReason::kBufferExpired);
+  void teardown_all(DropReason reason);
+  /// Exports a BR/BI admission decision as a deny/shrink/grant event.
+  void record_grant(MhId mh, std::uint32_t granted, std::uint32_t requested);
+  void note_buffered();
 
   void send_control(Address dst, MessageVariant m,
                     std::uint32_t bytes = kCtrlMsgBytes);

@@ -524,10 +524,9 @@ void MhAgent::send_buffer_init(std::uint32_t size_pkts, SimTime start_time,
   node_.send(make_control(node_.sim(), pcoa_, current_ar_addr_, m));
 }
 
-void MhAgent::send_buffer_forward(Address to_ar, Address forward_to) {
+void MhAgent::send_buffer_forward(Address to_ar) {
   BfMsg m;
   m.mh = id();
-  m.forward_to = forward_to;
   node_.send(make_control(node_.sim(), pcoa_, to_ar, m));
 }
 

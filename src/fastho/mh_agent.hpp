@@ -115,9 +115,8 @@ class MhAgent : public L2Callbacks {
   /// Smooth-handover baseline (§2.4): standalone BI to the current AR.
   void send_buffer_init(std::uint32_t size_pkts, SimTime start_time,
                         SimTime lifetime);
-  /// Baseline release: BF to `to_ar` (usually the previous AR) with an
-  /// optional forwarding target for the buffered packets.
-  void send_buffer_forward(Address to_ar, Address forward_to = kNoAddress);
+  /// Baseline release: BF to `to_ar` (usually the previous AR).
+  void send_buffer_forward(Address to_ar);
 
  private:
   /// Which FBU copy the retransmission timer currently guards.

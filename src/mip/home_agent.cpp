@@ -47,8 +47,7 @@ bool HomeAgent::handle_control(PacketPtr& p) {
   rep.home_addr = req->home_addr;
   rep.lifetime = req->lifetime;
   rep.accepted = true;
-  // Reply to whoever sent the request — the host itself (co-located CoA)
-  // or the relaying foreign agent (stage 2d).
+  // Reply to the sender: the host itself, with a co-located CoA.
   node_.send(make_control(sim, address(), p->src, rep));
   return true;
 }

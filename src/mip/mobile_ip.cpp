@@ -23,19 +23,6 @@ void MobileIpClient::send_binding_update(Address lcoa, SimTime lifetime) {
   node_.send(make_control(node_.sim(), lcoa, map_, bu));
 }
 
-void MobileIpClient::send_binding_update_to(Address correspondent,
-                                            Address lcoa, SimTime lifetime) {
-  BindingUpdateMsg bu;
-  bu.mh = node_.id();
-  bu.regional = regional_;
-  bu.lcoa = lcoa;
-  bu.lifetime = lifetime;
-  ++updates_sent_;
-  // Route-optimization BU to a CN is best-effort; traffic falls back to
-  // the HA tunnel until the next refresh. NOLINT-FHMIP(PROTO-01)
-  node_.send(make_control(node_.sim(), lcoa, correspondent, bu));
-}
-
 void MobileIpClient::send_simultaneous_binding(Address lcoa,
                                                SimTime lifetime) {
   BindingUpdateMsg bu;

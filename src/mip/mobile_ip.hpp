@@ -25,14 +25,8 @@ class MobileIpClient {
   /// §3.1.1. Cleared by the next ordinary binding update.
   void send_simultaneous_binding(Address lcoa, SimTime lifetime);
 
-  /// Route optimization (§2.1.2): sends a binding update to an arbitrary
-  /// correspondent instead of the MAP.
-  void send_binding_update_to(Address correspondent, Address lcoa,
-                              SimTime lifetime);
-
   /// MIPv4 registration (§2.1.1 stage 2). `via` is where the request is
-  /// sent — the home agent directly (co-located care-of address) or a
-  /// foreign agent that relays it to `home_agent`.
+  /// sent; with a co-located care-of address that is `home_agent` itself.
   void send_registration(Address via, Address home_agent, Address home_addr,
                          Address coa, SimTime lifetime);
 

@@ -139,11 +139,8 @@ struct FnaAckMsg {
 
 /// Buffer Forward: release the buffer to the mobile host (§3.2.2.3). Sent
 /// NAR→PAR on FNA+BF receipt; also MH→AR in the link-layer handoff case.
-/// In the standalone smooth-handover baseline the MH sets `forward_to` to
-/// its new care-of address and the buffered packets are tunneled there.
 struct BfMsg {
   MhId mh = kNoNode;
-  Address forward_to;
 };
 
 /// NAR→PAR notification that the NAR-side buffer filled up (Case 1.b: the
@@ -167,7 +164,7 @@ struct BaMsg {
 // Mobile IP / HMIPv6 messages (§2.1, §2.2).
 // ---------------------------------------------------------------------------
 
-/// MH → MAP (or CN) binding update: regional address now maps to `lcoa`.
+/// MH → MAP binding update: regional address now maps to `lcoa`.
 /// With `simultaneous` set the binding is added as a secondary care-of
 /// address and traffic is bicast to every binding — the "simultaneous
 /// binding" alternative of §3.1.1 (a non-simultaneous update clears any
@@ -185,23 +182,7 @@ struct BindingAckMsg {
   bool accepted = false;
 };
 
-/// MIPv4 agent discovery (§2.1.1 stage 1): agents advertise periodically;
-/// hosts may solicit instead of waiting.
-struct AgentAdvertisementMsg {
-  NodeId agent_node = kNoNode;
-  Address agent_addr;
-  Address care_of_addr;  // the CoA offered to visitors (FA-CoA)
-  bool is_home_agent = false;
-  bool is_foreign_agent = false;
-  SimTime registration_lifetime;
-  std::uint32_t sequence = 0;
-};
-struct AgentSolicitationMsg {
-  MhId mh = kNoNode;
-};
-
 /// MIPv4-style registration (home agent path; lifetime zero = deregister).
-/// `home_agent` lets a relaying foreign agent know where to forward.
 struct RegistrationRequestMsg {
   MhId mh = kNoNode;
   Address home_addr;
@@ -233,7 +214,6 @@ using MessageVariant =
     std::variant<std::monostate, RouterAdvMsg, RtSolPrMsg, PrRtAdvMsg, HiMsg,
                  HackMsg, FbuMsg, FbackMsg, FnaMsg, FnaAckMsg, BfMsg,
                  BufferFullMsg, BiMsg, BaMsg, BindingUpdateMsg, BindingAckMsg,
-                 AgentAdvertisementMsg, AgentSolicitationMsg,
                  RegistrationRequestMsg, RegistrationReplyMsg, TcpSegMsg>;
 
 /// True for protocol-control payloads (everything except plain data / TCP).

@@ -31,7 +31,8 @@ class WlanTopology {
   explicit WlanTopology(const WlanTopologyConfig& cfg);
 
   void start();
-  /// Schedules an AP1→AP2 link-layer handoff at `at` (and back if `at2`).
+  /// Schedules a link-layer handoff to the other AP at `at` (AP1→AP2
+  /// first; repeated calls alternate).
   void schedule_handoff(SimTime at);
 
   Simulation& simulation() { return sim_; }
