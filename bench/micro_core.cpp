@@ -53,6 +53,32 @@ void BM_SchedulerCancelHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelHalf)->Arg(10000);
 
+// Steady state, the simulator's pattern: each step pops one event whose
+// action schedules one more, so the pending depth holds at N. Delays mimic
+// serialisation (128 us), propagation (2 ms), a CBR interval (10 ms) and
+// the WLAN tick (20 ms).
+struct HoldLoop {
+  Scheduler s;
+  Rng rng{42};
+};
+
+void hold_fire(HoldLoop* h) {
+  static constexpr std::int64_t kDelaysUs[] = {128, 2'000, 10'000, 20'000};
+  h->s.schedule_in(SimTime::micros(kDelaysUs[h->rng.uniform_int(0, 3)]),
+                   [h] { hold_fire(h); });
+}
+
+void BM_SchedulerHold(benchmark::State& state) {
+  HoldLoop h;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    h.s.schedule_in(SimTime::micros(h.rng.uniform_int(0, 20'000)),
+                    [p = &h] { hold_fire(p); });
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(h.s.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerHold)->Arg(1000)->Arg(10000);
+
 void BM_DropTailQueuePushPop(benchmark::State& state) {
   Simulation sim;
   DropTailQueue q(1024);

@@ -27,12 +27,10 @@ EventId Scheduler::schedule_at(SimTime t, Action fn) {
   if (t < now_) t = now_;
   const std::uint32_t idx = acquire_slot();
   Slot& s = slots_[idx];
-  s.at = t;
-  s.seq = next_seq_++;
   s.fn = std::move(fn);
   s.armed = true;
   s.cancelled = false;
-  heap_.push_back(idx);
+  heap_.push_back(Entry{t, next_seq_++, idx});
   sift_up(heap_.size() - 1);
   ++live_;
   return encode(idx, s.gen);
@@ -59,18 +57,18 @@ bool Scheduler::pending(EventId id) const {
 }
 
 void Scheduler::sift_up(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+  const Entry e = heap_[pos];
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!earlier(idx, heap_[parent])) break;
+    if (!earlier(e, heap_[parent])) break;
     heap_[pos] = heap_[parent];
     pos = parent;
   }
-  heap_[pos] = idx;
+  heap_[pos] = e;
 }
 
 void Scheduler::sift_down(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+  const Entry e = heap_[pos];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first_child = pos * 4 + 1;
@@ -80,20 +78,21 @@ void Scheduler::sift_down(std::size_t pos) {
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], idx)) break;
+    if (!earlier(heap_[best], e)) break;
     heap_[pos] = heap_[best];
     pos = best;
   }
-  heap_[pos] = idx;
+  heap_[pos] = e;
 }
 
 void Scheduler::release_root() {
-  Slot& s = slots_[heap_[0]];
+  const std::uint32_t idx = heap_[0].slot;
+  Slot& s = slots_[idx];
   ++s.gen;  // stale handles to this occupancy stop matching
   s.armed = false;
   s.cancelled = false;
   s.fn = nullptr;
-  free_.push_back(heap_[0]);
+  free_.push_back(idx);
   heap_[0] = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
@@ -101,13 +100,13 @@ void Scheduler::release_root() {
 
 bool Scheduler::pop_runnable(SimTime limit, SimTime& at_out, Action& fn_out) {
   while (!heap_.empty()) {
-    Slot& top = slots_[heap_[0]];
+    Slot& top = slots_[heap_[0].slot];
     if (top.cancelled) {
       release_root();
       continue;
     }
-    if (top.at > limit) return false;
-    at_out = top.at;
+    if (heap_[0].at > limit) return false;
+    at_out = heap_[0].at;
     fn_out = std::move(top.fn);
     FHMIP_AUDIT("sched", live_ > 0);
     --live_;
@@ -117,10 +116,7 @@ bool Scheduler::pop_runnable(SimTime limit, SimTime& at_out, Action& fn_out) {
   return false;
 }
 
-bool Scheduler::step() {
-  SimTime at;
-  Action fn;
-  if (!pop_runnable(kNoLimit, at, fn)) return false;
+void Scheduler::dispatch(SimTime at, Action& fn) {
   // The clock only moves forward: schedule_at clamps past times to now(),
   // so a popped event timestamped before now_ means heap-order corruption.
   FHMIP_AUDIT_MSG("sched", at >= now_,
@@ -129,6 +125,13 @@ bool Scheduler::step() {
   now_ = at;
   ++executed_;
   fn();
+}
+
+bool Scheduler::step() {
+  SimTime at;
+  Action fn;
+  if (!pop_runnable(kNoLimit, at, fn)) return false;
+  dispatch(at, fn);
   return true;
 }
 
@@ -143,13 +146,8 @@ std::size_t Scheduler::run_until(SimTime t) {
   SimTime at;
   Action fn;
   while (pop_runnable(t, at, fn)) {
-    FHMIP_AUDIT_MSG("sched", at >= now_,
-                    "event at " + at.to_string() + " before clock " +
-                        now_.to_string());
-    now_ = at;
-    ++executed_;
+    dispatch(at, fn);
     ++n;
-    fn();
   }
   if (now_ < t) now_ = t;
   return n;
@@ -163,7 +161,8 @@ void Scheduler::audit_invariants() const {
                   "heap=" + std::to_string(heap_.size()) +
                       " free=" + std::to_string(free_.size()) +
                       " slots=" + std::to_string(slots_.size()));
-  // Level-2 sweeps: recount the live slots and verify 4-ary heap order.
+  // Level-2 sweeps: recount the live slots, check that the heap cells name
+  // each armed slot exactly once, and verify 4-ary heap order.
 #if FHMIP_AUDIT_LEVEL >= 2
   std::size_t armed = 0, live = 0;
   for (const Slot& s : slots_) {
@@ -178,6 +177,16 @@ void Scheduler::audit_invariants() const {
   FHMIP_AUDIT2_MSG("sched", live == live_,
                    "recount=" + std::to_string(live) +
                        " live=" + std::to_string(live_));
+  std::vector<bool> named(slots_.size(), false);
+  for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+    const std::uint32_t idx = heap_[pos].slot;
+    const bool armed = idx < slots_.size() && slots_[idx].armed;
+    FHMIP_AUDIT2_MSG("sched", armed && !named[idx],
+                     "heap cell " + std::to_string(pos) + " names slot " +
+                         std::to_string(idx) +
+                         (armed ? " twice" : " that is not armed"));
+    if (armed) named[idx] = true;
+  }
   for (std::size_t pos = 1; pos < heap_.size(); ++pos) {
     const std::size_t parent = (pos - 1) / 4;
     FHMIP_AUDIT2_MSG("sched", !earlier(heap_[pos], heap_[parent]),

@@ -17,14 +17,16 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Events at the same timestamp execute in scheduling order (FIFO), which is
 /// the property protocol state machines in this library rely on.
 ///
-/// Storage is a slab of generation-tagged slots indexed by a 4-ary min-heap
-/// of slot indices, ordered by (time, issue sequence). An EventId packs the
-/// slot index and the slot's generation at issue time, so `pending()` and
-/// `cancel()` are O(1) slot loads — no hash lookups — and stale handles from
-/// a reused slot fail the generation check. Cancellation is lazy: the slot
-/// is flagged and skipped (and recycled) when it reaches the heap root. The
-/// 4-ary layout halves the sift-down depth vs. a binary heap and keeps the
-/// children of a node in at most two cache lines.
+/// Storage is a slab of generation-tagged slots plus a 4-ary min-heap whose
+/// cells carry the ordering key inline: each cell is (time, issue sequence,
+/// slot index), so sifting compares cells in the heap array and never loads
+/// a slot. A slot holds only the action, its generation and its flags. An
+/// EventId packs the slot index and the slot's generation at issue time, so
+/// `pending()` and `cancel()` are O(1) slot loads — no hash lookups — and
+/// stale handles from a reused slot fail the generation check. Cancellation
+/// is lazy: the slot is flagged and skipped (and recycled) when its cell
+/// reaches the heap root. The 4-ary layout halves the sift-down depth vs. a
+/// binary heap, and the four children of a cell are 96 contiguous bytes.
 class Scheduler {
  public:
   using Action = std::function<void()>;
@@ -69,15 +71,22 @@ class Scheduler {
 
  private:
   /// One slab entry. A slot not on the free list is "armed": it owns an
-  /// action and occupies exactly one heap cell. `gen` counts reuses of the
-  /// slot; handles from a previous occupancy no longer match it.
+  /// action and is named by exactly one heap cell. `gen` counts reuses of
+  /// the slot; handles from a previous occupancy no longer match it.
   struct Slot {
-    SimTime at;
-    std::uint64_t seq = 0;  // issue order; the same-time FIFO tiebreaker
     Action fn;
     std::uint32_t gen = 0;
     bool armed = false;
     bool cancelled = false;
+  };
+
+  /// One heap cell: the armed slot's ordering key, kept inline so sifts
+  /// touch only the heap array. `seq` is the issue order, the same-time
+  /// FIFO tiebreaker.
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
   static constexpr std::uint32_t decode_slot(EventId id) {
@@ -91,12 +100,10 @@ class Scheduler {
     return (static_cast<EventId>(gen) << 32) | (slot + 1);
   }
 
-  /// (time, seq) heap order between two armed slots.
-  bool earlier(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  /// (time, seq) heap order between two cells.
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
   }
 
   std::uint32_t acquire_slot();
@@ -109,9 +116,13 @@ class Scheduler {
   /// `step`/`run` pass an unbounded limit, `run_until` passes `t`.
   bool pop_runnable(SimTime limit, SimTime& at_out, Action& fn_out);
 
+  /// Advances the clock to `at`, counts the event and runs `fn`. The single
+  /// dispatch path of `step` and `run_until`.
+  void dispatch(SimTime at, Action& fn);
+
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // recycled slot indices
-  std::vector<std::uint32_t> heap_;  // 4-ary min-heap of armed slot indices
+  std::vector<Entry> heap_;          // 4-ary min-heap, one cell per armed slot
   std::size_t live_ = 0;             // armed and not cancelled
   std::uint64_t next_seq_ = 1;
   SimTime now_;

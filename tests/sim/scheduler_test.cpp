@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace fhmip {
 namespace {
@@ -240,6 +245,144 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   EXPECT_TRUE(monotonic);
   EXPECT_EQ(s.events_executed(), 10'000u);
 }
+
+// Drives a Scheduler and a reference model through one seeded random
+// interleaving of schedule_at/schedule_in (past times, many same-time ties),
+// cancel (live, already-run, already-cancelled and invalid ids), step,
+// run(k) and run_until, with actions that schedule and cancel from inside
+// themselves. The model maps each pending (time, issue seq) key to its id,
+// so its first element is the event that must run next. Every dispatch is
+// checked against it as it happens; after every operation now(),
+// queue_size(), empty() and pending() must agree with it.
+class SchedulerModel : public ::testing::TestWithParam<int> {
+ protected:
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (at ns, issue seq)
+
+  Scheduler s_;
+  Rng rng_{0};
+  std::map<Key, EventId> model_;  // pending events in dispatch order
+  std::map<EventId, Key> live_;   // the same events, by id
+  std::vector<EventId> issued_;  // every id ever returned, incl. dead ones
+  std::uint64_t next_seq_ = 1;
+  SimTime model_now_;
+  std::size_t dispatches_ = 0;
+  std::string mismatch_;  // first dispatch that disagreed with the model
+
+  // Microsecond offsets from now(); the negative ones clamp to now().
+  SimTime random_time(std::int64_t lo, std::int64_t hi) {
+    return model_now_ + SimTime::micros(rng_.uniform_int(lo, hi));
+  }
+
+  void schedule(SimTime t, bool relative) {
+    const SimTime at = t < model_now_ ? model_now_ : t;
+    const Key key{at.ns(), next_seq_++};
+    const std::uint64_t seq = key.second;
+    Scheduler::Action fn = [this, seq] { on_dispatch(seq); };
+    const EventId id = relative ? s_.schedule_in(t - model_now_, std::move(fn))
+                                : s_.schedule_at(t, std::move(fn));
+    model_.emplace(key, id);
+    live_.emplace(id, key);
+    issued_.push_back(id);
+  }
+
+  void cancel_random() {
+    const EventId id =
+        issued_.empty() || rng_.chance(0.05)
+            ? kInvalidEvent
+            : issued_[static_cast<std::size_t>(rng_.uniform_int(
+                  0, static_cast<std::int64_t>(issued_.size()) - 1))];
+    s_.cancel(id);
+    const auto it = live_.find(id);
+    if (it == live_.end()) return;  // already run, cancelled or invalid
+    model_.erase(it->second);
+    live_.erase(it);
+  }
+
+  void on_dispatch(std::uint64_t seq) {
+    ++dispatches_;
+    if (mismatch_.empty()) {
+      if (model_.empty()) {
+        mismatch_ = "seq " + std::to_string(seq) + " ran; model is empty";
+      } else if (model_.begin()->first != Key{s_.now().ns(), seq}) {
+        const Key& want = model_.begin()->first;
+        mismatch_ = "seq " + std::to_string(seq) + " ran at " +
+                    std::to_string(s_.now().ns()) + " ns; model expected seq " +
+                    std::to_string(want.second) + " at " +
+                    std::to_string(want.first) + " ns";
+      }
+    }
+    if (!mismatch_.empty()) return;
+    model_now_ = SimTime::nanos(model_.begin()->first.first);
+    live_.erase(model_.begin()->second);
+    model_.erase(model_.begin());
+    s_.audit_invariants();
+    // Mean fan-out below one, so every run_until terminates.
+    if (rng_.chance(0.35)) schedule(random_time(-2, 4), rng_.chance(0.5));
+    if (rng_.chance(0.10)) schedule(model_now_, false);  // same-time tie
+    if (rng_.chance(0.15)) cancel_random();
+  }
+
+  void check_state(int op) {
+    ASSERT_TRUE(mismatch_.empty()) << "op " << op << ": " << mismatch_;
+    ASSERT_EQ(s_.now(), model_now_) << "op " << op;
+    ASSERT_EQ(s_.queue_size(), model_.size()) << "op " << op;
+    ASSERT_EQ(s_.empty(), model_.empty()) << "op " << op;
+    for (const auto& [id, key] : live_) {
+      ASSERT_TRUE(s_.pending(id)) << "op " << op << ": seq " << key.second;
+    }
+    for (int i = 0; i < 16 && !issued_.empty(); ++i) {
+      const EventId id = issued_[static_cast<std::size_t>(rng_.uniform_int(
+          0, static_cast<std::int64_t>(issued_.size()) - 1))];
+      ASSERT_EQ(s_.pending(id), live_.count(id) == 1) << "op " << op;
+    }
+    EXPECT_FALSE(s_.pending(kInvalidEvent));
+    s_.audit_invariants();
+  }
+};
+
+TEST_P(SchedulerModel, DispatchOrderMatchesReferenceModel) {
+  rng_.reseed(static_cast<std::uint64_t>(GetParam()));
+  for (int op = 0; op < 2000; ++op) {
+    const double r = rng_.uniform();
+    if (r < 0.40) {
+      schedule(random_time(-3, 6), rng_.chance(0.25));
+    } else if (r < 0.55) {
+      cancel_random();
+    } else if (r < 0.75) {
+      const std::size_t before = dispatches_;
+      const bool had = !model_.empty();
+      ASSERT_EQ(s_.step(), had) << "op " << op;
+      ASSERT_EQ(dispatches_ - before, had ? 1u : 0u) << "op " << op;
+    } else if (r < 0.85) {
+      const std::size_t k = static_cast<std::size_t>(rng_.uniform_int(0, 4));
+      const std::size_t before = dispatches_;
+      const std::size_t n = s_.run(k);
+      ASSERT_EQ(n, dispatches_ - before) << "op " << op;
+      ASSERT_LE(n, k) << "op " << op;
+      if (n < k) {
+        ASSERT_TRUE(model_.empty()) << "op " << op;
+      }
+    } else {
+      const SimTime t = random_time(-2, 8);
+      const std::size_t before = dispatches_;
+      const std::size_t n = s_.run_until(t);
+      ASSERT_EQ(n, dispatches_ - before) << "op " << op;
+      // Everything due by `t` ran, including events scheduled meanwhile.
+      if (!model_.empty()) {
+        ASSERT_GT(model_.begin()->first.first, t.ns()) << "op " << op;
+      }
+      if (model_now_ < t) model_now_ = t;
+    }
+    ASSERT_NO_FATAL_FAILURE(check_state(op));
+  }
+  // Drain what is left; the tail must follow the model too.
+  s_.run();
+  ASSERT_NO_FATAL_FAILURE(check_state(-1));
+  EXPECT_TRUE(model_.empty());
+  EXPECT_EQ(s_.events_executed(), dispatches_);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerModel, ::testing::Range(1, 9));
 
 }  // namespace
 }  // namespace fhmip
