@@ -30,8 +30,8 @@ namespace fhmip {
 /// the retry cap is hit. Exhaustion degrades gracefully: a missing PrRtAdv
 /// abandons anticipation, an unconfirmed FBU is reissued from the new link
 /// (the reactive path, §2.3.2), and only an unacknowledged reactive FBU
-/// marks the attempt failed. Outcomes are reported per attempt to the
-/// configured HandoverOutcomeRecorder.
+/// marks the attempt failed. Each attempt's outcome is resolved on the
+/// simulation's handover timeline.
 class MhAgent : public L2Callbacks {
  public:
   struct Config {
@@ -67,8 +67,6 @@ class MhAgent : public L2Callbacks {
     /// unconfirmed predictive FBU. Must cover the whole attempt: the
     /// anticipation window plus the blackout plus the FNA exchange.
     SimTime watchdog;
-    /// Per-attempt handover outcome sink (optional; not owned).
-    HandoverOutcomeRecorder* outcomes = nullptr;
   };
 
   struct Counters {

@@ -1,16 +1,6 @@
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "fastho/ar_agent.hpp"
-#include "fastho/mh_agent.hpp"
-#include "mip/map_agent.hpp"
-#include "net/network.hpp"
-#include "scenario/population.hpp"
-#include "transport/cbr.hpp"
-#include "transport/sink.hpp"
-#include "wireless/wlan.hpp"
+#include "scenario/topology.hpp"
 
 namespace fhmip {
 
@@ -71,68 +61,11 @@ struct CityConfig {
   PopulationConfig population;
 };
 
-class CityTopology {
+TopologySpec city_spec(const CityConfig& cfg);
+
+class CityTopology : public Topology {
  public:
-  explicit CityTopology(const CityConfig& cfg);
-
-  struct Mobile {
-    Node* node = nullptr;
-    Address regional;  // anchored at the MAP of the spawn area
-    std::unique_ptr<MobileIpClient> mip;
-    std::unique_ptr<MhAgent> agent;
-    PopulationDraw draw;
-    FlowId flow = 0;  // 0 when the host carries no traffic
-  };
-
-  /// Starts the WLAN layer; traffic sources are armed at construction and
-  /// fire on their own schedule.
-  void start();
-
-  Simulation& simulation() { return sim_; }
-  Network& network() { return *net_; }
-  Node& cn() { return *cn_; }
-  std::size_t num_maps() const { return maps_.size(); }
-  Node& map_router(std::size_t k) { return *maps_.at(k); }
-  MapAgent& map_agent(std::size_t k) { return *map_agents_.at(k); }
-  std::size_t num_ars() const { return ars_.size(); }
-  Node& ar(std::size_t i) { return *ars_.at(i); }
-  ArAgent& ar_agent(std::size_t i) { return *ar_agents_.at(i); }
-  /// MAP band index of AR `i`.
-  std::size_t map_of_ar(std::size_t i) const;
-  WlanManager& wlan() { return *wlan_; }
-  Mobile& mobile(std::size_t i) { return mobiles_.at(i); }
-  std::size_t num_mobiles() const { return mobiles_.size(); }
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
-  const CityConfig& config() const { return cfg_; }
-  /// The city footprint the population roams (AP field plus one radius of
-  /// margin).
-  RoamBox roam_box() const { return box_; }
-  /// Direct inter-AR links (handover tunnel paths) for fault harnesses.
-  const std::vector<DuplexLink*>& ar_ar_links() const { return ar_links_; }
-  /// Buffer slots still leased across every AR (0 after quiesce = no leaks).
-  std::uint64_t leased_total() const;
-
-  /// AP center position of AR `i` for the configured layout (static helper
-  /// so tests can reason about the geometry without building a topology).
-  static Vec2 ap_position(const CityConfig& cfg, int row, int col);
-
- private:
-  CityConfig cfg_;
-  Simulation sim_;
-  std::unique_ptr<Network> net_;
-  Node* cn_ = nullptr;
-  Node* gw_ = nullptr;
-  std::vector<Node*> maps_;
-  std::vector<Node*> ars_;
-  std::vector<std::unique_ptr<MapAgent>> map_agents_;
-  std::vector<std::unique_ptr<ArAgent>> ar_agents_;
-  std::vector<DuplexLink*> ar_links_;
-  std::unique_ptr<WlanManager> wlan_;
-  HandoverOutcomeRecorder outcomes_;
-  RoamBox box_;
-  std::vector<Mobile> mobiles_;
-  std::vector<std::unique_ptr<UdpSink>> sinks_;
-  std::vector<std::unique_ptr<CbrSource>> sources_;
+  explicit CityTopology(const CityConfig& cfg) : Topology(city_spec(cfg)) {}
 };
 
 }  // namespace fhmip

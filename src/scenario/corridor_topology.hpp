@@ -1,13 +1,6 @@
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "fastho/ar_agent.hpp"
-#include "fastho/mh_agent.hpp"
-#include "mip/map_agent.hpp"
-#include "net/network.hpp"
-#include "wireless/wlan.hpp"
+#include "scenario/topology.hpp"
 
 namespace fhmip {
 
@@ -43,46 +36,26 @@ struct CorridorConfig {
   RetransmitPolicy rtx;
 };
 
-class CorridorTopology {
+TopologySpec corridor_spec(const CorridorConfig& cfg);
+
+class CorridorTopology : public Topology {
  public:
-  explicit CorridorTopology(const CorridorConfig& cfg);
+  explicit CorridorTopology(const CorridorConfig& cfg)
+      : Topology(corridor_spec(cfg)), cfg_(cfg) {}
 
-  void start();
   /// Time to walk the full corridor.
-  SimTime walk_duration() const;
+  SimTime walk_duration() const {
+    return SimTime::from_seconds(cfg_.ap_spacing_m * (cfg_.num_ars - 1) /
+                                 cfg_.speed_mps);
+  }
 
-  Simulation& simulation() { return sim_; }
-  Network& network() { return *net_; }
-  Node& cn() { return *cn_; }
-  Node& map_router() { return *map_; }
-  MapAgent& map_agent() { return *map_agent_; }
-  std::size_t num_ars() const { return ars_.size(); }
-  Node& ar(std::size_t i) { return *ars_.at(i); }
-  ArAgent& ar_agent(std::size_t i) { return *ar_agents_.at(i); }
-  WlanManager& wlan() { return *wlan_; }
-  Node& mh() { return *mh_; }
-  MhAgent& mh_agent() { return *mh_agent_; }
-  MobileIpClient& mip() { return *mip_; }
-  Address mh_regional() const { return regional_; }
-  /// Per-attempt inter-AR handover outcomes along the corridor.
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
+  Node& mh() { return *mobile(0).node; }
+  MhAgent& mh_agent() { return *mobile(0).agent; }
+  MobileIpClient& mip() { return *mobile(0).mip; }
+  Address mh_regional() { return mobile(0).regional; }
 
  private:
   CorridorConfig cfg_;
-  Simulation sim_;
-  std::unique_ptr<Network> net_;
-  Node* cn_ = nullptr;
-  Node* gw_ = nullptr;
-  Node* map_ = nullptr;
-  std::vector<Node*> ars_;
-  Node* mh_ = nullptr;
-  std::unique_ptr<MapAgent> map_agent_;
-  std::vector<std::unique_ptr<ArAgent>> ar_agents_;
-  std::unique_ptr<WlanManager> wlan_;
-  std::unique_ptr<MobileIpClient> mip_;
-  HandoverOutcomeRecorder outcomes_;
-  std::unique_ptr<MhAgent> mh_agent_;
-  Address regional_;
 };
 
 }  // namespace fhmip

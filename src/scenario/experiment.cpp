@@ -1,7 +1,6 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace fhmip {
 
@@ -9,38 +8,20 @@ namespace {
 
 constexpr std::uint16_t kSinkPort = 7000;
 
-struct FlowAttachment {
-  std::unique_ptr<CbrSource> source;
-  std::unique_ptr<UdpSink> sink;
-};
-
 /// Wires `flows` from the CN to mobile `mh_index`, one sink per flow port.
-std::vector<FlowAttachment> attach_flows(PaperTopology& topo,
-                                         std::size_t mh_index,
-                                         const std::vector<FlowSpec>& flows,
-                                         SimTime start, SimTime stop) {
-  std::vector<FlowAttachment> out;
-  auto& mobile = topo.mobile(mh_index);
+void attach_flows(PaperTopology& topo, std::size_t mh_index,
+                  const std::vector<FlowSpec>& flows, SimTime start,
+                  SimTime stop) {
   std::uint16_t port = kSinkPort;
   std::uint16_t src_port = 20000 + static_cast<std::uint16_t>(mh_index) * 16;
   for (const FlowSpec& f : flows) {
-    FlowAttachment a;
     CbrSource::Config cfg;
-    cfg.dst = mobile.regional;
-    cfg.dst_port = port;
     cfg.packet_bytes = f.packet_bytes;
     cfg.interval = CbrSource::interval_for_rate(f.kbps, f.packet_bytes);
     cfg.tclass = f.tclass;
     cfg.flow = f.id;
-    a.sink = std::make_unique<UdpSink>(*mobile.node, port);
-    a.source = std::make_unique<CbrSource>(topo.cn(), src_port, cfg);
-    a.source->start(start);
-    a.source->stop(stop);
-    out.push_back(std::move(a));
-    ++port;
-    ++src_port;
+    topo.add_flow(mh_index, cfg, port++, src_port++, start, stop);
   }
-  return out;
 }
 
 FlowOutcome outcome_for(const Simulation& sim, FlowId id, bool samples) {
@@ -80,13 +61,11 @@ SimultaneousHandoffResult run_simultaneous_handoffs(
   PaperTopology topo(cfg);
   topo.simulation().stats().set_keep_samples(false);
 
-  std::vector<std::vector<FlowAttachment>> all;
   for (int i = 0; i < p.num_mhs; ++i) {
     std::vector<FlowSpec> flows{{static_cast<FlowId>(i + 1),
                                  TrafficClass::kUnspecified, p.flow_kbps,
                                  p.packet_bytes}};
-    all.push_back(attach_flows(topo, i, flows, SimTime::seconds(2),
-                               SimTime::seconds(16)));
+    attach_flows(topo, i, flows, SimTime::seconds(2), SimTime::seconds(16));
   }
   topo.start();
   topo.simulation().run_until(SimTime::seconds(20));
@@ -120,8 +99,7 @@ QosDropResult run_qos_drop_experiment(const QosDropParams& p,
   const SimTime leg = topo.leg_duration();
   const SimTime t_end =
       cfg.mobility_start + leg * (p.handoffs + 1);
-  auto attachments =
-      attach_flows(topo, 0, flows, SimTime::seconds(2), t_end);
+  attach_flows(topo, 0, flows, SimTime::seconds(2), t_end);
   topo.start();
 
   QosDropResult r;
@@ -162,8 +140,7 @@ std::vector<FlowOutcome> run_rate_probe(const QosDropParams& base,
   PaperTopology topo(cfg);
 
   auto flows = three_class_flows(flow_kbps, base.packet_bytes);
-  auto attachments = attach_flows(topo, 0, flows, SimTime::seconds(2),
-                                  SimTime::seconds(16));
+  attach_flows(topo, 0, flows, SimTime::seconds(2), SimTime::seconds(16));
   topo.start();
   topo.simulation().run_until(SimTime::seconds(20));
 
@@ -195,8 +172,7 @@ DelayCaptureResult run_delay_capture(const DelayCaptureParams& p,
   topo.simulation().stats().set_keep_samples(true);
 
   auto flows = three_class_flows(p.flow_kbps, p.packet_bytes);
-  auto attachments = attach_flows(topo, 0, flows, SimTime::seconds(2),
-                                  SimTime::seconds(18));
+  attach_flows(topo, 0, flows, SimTime::seconds(2), SimTime::seconds(18));
   topo.start();
   topo.simulation().run_until(SimTime::seconds(20));
 

@@ -1,26 +1,8 @@
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "fastho/ar_agent.hpp"
-#include "fastho/mh_agent.hpp"
-#include "mip/map_agent.hpp"
-#include "net/network.hpp"
-#include "transport/cbr.hpp"
-#include "transport/sink.hpp"
-#include "wireless/wlan.hpp"
+#include "scenario/topology.hpp"
 
 namespace fhmip {
-
-/// Well-known address nets used by the paper topologies.
-namespace nets {
-inline constexpr std::uint32_t kCn = 10;
-inline constexpr std::uint32_t kGw = 20;
-inline constexpr std::uint32_t kMap = 30;  // regional (RCoA) prefix
-inline constexpr std::uint32_t kPar = 40;
-inline constexpr std::uint32_t kNar = 50;
-}  // namespace nets
 
 /// Figure 4.1 — the hierarchical MIPv6 reference network:
 ///
@@ -67,61 +49,29 @@ struct PaperTopologyConfig {
   RetransmitPolicy rtx;
 };
 
-class PaperTopology {
+TopologySpec paper_spec(const PaperTopologyConfig& cfg);
+
+class PaperTopology : public Topology {
  public:
-  explicit PaperTopology(const PaperTopologyConfig& cfg);
-
-  struct Mobile {
-    Node* node = nullptr;
-    Address regional;  // the address correspondents use
-    std::unique_ptr<MobileIpClient> mip;
-    std::unique_ptr<MhAgent> agent;
-  };
-
-  /// Starts the WLAN layer (initial association + binding updates).
-  void start();
+  explicit PaperTopology(const PaperTopologyConfig& cfg)
+      : Topology(paper_spec(cfg)), cfg_(cfg) {}
 
   /// Duration of one PAR→NAR leg for the configured geometry.
-  SimTime leg_duration() const;
+  SimTime leg_duration() const {
+    return SimTime::from_seconds(cfg_.ar_distance_m / cfg_.speed_mps);
+  }
 
-  Simulation& simulation() { return sim_; }
-  Network& network() { return *net_; }
-  Node& cn() { return *cn_; }
-  Node& par() { return *par_; }
-  Node& nar() { return *nar_; }
-  Node& map_router() { return *map_; }
-  MapAgent& map_agent() { return *map_agent_; }
-  ArAgent& par_agent() { return *par_agent_; }
-  ArAgent& nar_agent() { return *nar_agent_; }
-  WlanManager& wlan() { return *wlan_; }
+  Node& par() { return ar(0); }
+  Node& nar() { return ar(1); }
+  ArAgent& par_agent() { return ar_agent(0); }
+  ArAgent& nar_agent() { return ar_agent(1); }
   /// The direct inter-AR link carrying the handover tunnel.
-  DuplexLink& par_nar_link() { return *par_nar_link_; }
-  AccessPoint& ap_par() { return *ap_par_; }
-  AccessPoint& ap_nar() { return *ap_nar_; }
-  Mobile& mobile(std::size_t i) { return mobiles_.at(i); }
-  std::size_t num_mobiles() const { return mobiles_.size(); }
-  const PaperTopologyConfig& config() const { return cfg_; }
-  /// Per-attempt inter-AR handover outcomes across all mobiles.
-  HandoverOutcomeRecorder& outcomes() { return outcomes_; }
+  DuplexLink& par_nar_link() { return *ar_ar_links().front(); }
+  AccessPoint& ap_par() { return ap(0); }
+  AccessPoint& ap_nar() { return ap(1); }
 
  private:
   PaperTopologyConfig cfg_;
-  Simulation sim_;
-  std::unique_ptr<Network> net_;
-  Node* cn_ = nullptr;
-  Node* gw_ = nullptr;
-  Node* map_ = nullptr;
-  Node* par_ = nullptr;
-  Node* nar_ = nullptr;
-  std::unique_ptr<MapAgent> map_agent_;
-  std::unique_ptr<ArAgent> par_agent_;
-  std::unique_ptr<ArAgent> nar_agent_;
-  std::unique_ptr<WlanManager> wlan_;
-  DuplexLink* par_nar_link_ = nullptr;
-  AccessPoint* ap_par_ = nullptr;
-  AccessPoint* ap_nar_ = nullptr;
-  HandoverOutcomeRecorder outcomes_;
-  std::vector<Mobile> mobiles_;
 };
 
 }  // namespace fhmip

@@ -10,7 +10,7 @@
 namespace fhmip {
 
 /// Axis-aligned rectangle the population roams inside (the city footprint,
-/// derived from the AP layout by CityTopology).
+/// derived from the AP layout by city_spec).
 struct RoamBox {
   Vec2 lo;
   Vec2 hi;

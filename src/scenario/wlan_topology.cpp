@@ -1,69 +1,44 @@
 #include "scenario/wlan_topology.hpp"
 
-#include "scenario/paper_topology.hpp"  // nets::
-
 namespace fhmip {
 
-WlanTopology::WlanTopology(const WlanTopologyConfig& cfg)
-    : cfg_(cfg), sim_(cfg.seed) {
-  net_ = std::make_unique<Network>(sim_);
-  cn_ = &net_->add_node("cn");
-  r_ = &net_->add_node("r");
-  ar_ = &net_->add_node("ar");
-  mh_ = &net_->add_node("mh");
-
-  cn_->add_address({nets::kCn, 1});
-  r_->add_address({nets::kGw, 1});
-  ar_->add_address({nets::kPar, 1});
-
-  net_->connect(*cn_, *r_, cfg.cn_r_mbps * 1e6, cfg.cn_r_delay,
-                cfg.queue_limit);
-  net_->connect(*r_, *ar_, cfg.r_ar_mbps * 1e6, cfg.r_ar_delay,
-                cfg.queue_limit);
-  net_->compute_routes();
-
-  ar_agent_ = std::make_unique<ArAgent>(*ar_, cfg.scheme, cfg.rtx);
-
-  wlan_ = std::make_unique<WlanManager>(sim_, cfg.wlan);
+TopologySpec wlan_spec(const WlanTopologyConfig& cfg) {
+  TopologySpec spec;
+  spec.seed = cfg.seed;
+  spec.gw_name = "r";
+  spec.ars = {{"ar", nets::kPar, TopologySpec::kNoMap}};
   // Both APs under the same AR; the MH sits where both cover it so the
   // handoffs are purely protocol-driven (force_handoff).
-  ap1_ = &wlan_->add_ap(*ar_, Vec2{0, 0}, 120, ar_agent_.get());
-  ap2_ = &wlan_->add_ap(*ar_, Vec2{60, 0}, 120, ar_agent_.get());
+  spec.aps = {{0, Vec2{0, 0}, 120}, {0, Vec2{60, 0}, 120}};
+  spec.cn_gw = {cfg.cn_r_mbps, cfg.cn_r_delay};
+  spec.map_ar = {cfg.r_ar_mbps, cfg.r_ar_delay};
+  spec.queue_limit = cfg.queue_limit;
+  spec.wlan = cfg.wlan;
+  spec.mh.scheme = cfg.scheme;
+  spec.mh.use_fast_handover = cfg.use_fast_handover;
+  spec.mh.request_buffers = cfg.request_buffers;
+  spec.mh.rtx = cfg.rtx;
 
-  auto resolver = [this](NodeId ap) -> Node* {
-    AccessPoint* a = wlan_->ap(ap);
-    return a == nullptr ? nullptr : &a->ar_node();
-  };
-  ar_agent_->set_ap_resolver(resolver);
-
-  MhAgent::Config mh_cfg;
-  mh_cfg.scheme = cfg.scheme;
-  mh_cfg.use_fast_handover = cfg.use_fast_handover;
-  mh_cfg.request_buffers = cfg.request_buffers;
-  mh_cfg.rtx = cfg.rtx;
-
-  mh_->add_address(mh_coa(), /*advertised=*/false);
-  mh_agent_ = std::make_unique<MhAgent>(*mh_, mh_cfg, /*mip=*/nullptr);
-  wlan_->add_mh(*mh_, std::make_unique<StaticPosition>(Vec2{10, 0}),
-                mh_agent_.get());
+  TopologySpec::Mobile m;
+  m.name = "mh";
+  m.mobility = std::make_unique<StaticPosition>(Vec2{10, 0});
+  m.map = TopologySpec::kNoMap;
+  spec.mobiles.push_back(std::move(m));
+  return spec;
 }
-
-Address WlanTopology::mh_coa() const {
-  return make_coa(nets::kPar, mh_->id());
-}
-
-void WlanTopology::start() { wlan_->start(); }
 
 void WlanTopology::schedule_handoff(SimTime at) {
   // The anticipation trigger (L2-ST fires at start because both APs cover
   // the MH) has already primed the RtSolPr+BI exchange; force the switch.
   // The target AP is resolved at fire time so repeated calls alternate.
-  // sim_ is a member of *this: pending events die (unrun) with the topology,
-  // so the this-capture cannot dangle.
-  sim_.at(at, [this] {  // NOLINT-FHMIP(LIFE-01)
-    const NodeId cur = wlan_->attached_ap(mh_->id());
-    const NodeId target = cur == ap1_->id() ? ap2_->id() : ap1_->id();
-    wlan_->force_handoff(mh_->id(), target, sim_.now());
+  // The simulation is a member of *this: pending events die (unrun) with
+  // the topology, so the this-capture cannot dangle. LIFE-01 only sees that
+  // for a Simulation field of the class itself, not one reached through
+  // the base's simulation() accessor.
+  simulation().at(at, [this] {  // NOLINT-FHMIP(LIFE-01)
+    const NodeId cur = wlan().attached_ap(mh().id());
+    const NodeId target = cur == ap1().id() ? ap2().id() : ap1().id();
+    wlan().force_handoff(mh().id(), target, simulation().now());
   });
 }
 

@@ -1,11 +1,6 @@
 #pragma once
 
-#include <memory>
-
-#include "fastho/ar_agent.hpp"
-#include "fastho/mh_agent.hpp"
-#include "net/network.hpp"
-#include "wireless/wlan.hpp"
+#include "scenario/topology.hpp"
 
 namespace fhmip {
 
@@ -26,39 +21,24 @@ struct WlanTopologyConfig {
   RetransmitPolicy rtx;
 };
 
-class WlanTopology {
- public:
-  explicit WlanTopology(const WlanTopologyConfig& cfg);
+TopologySpec wlan_spec(const WlanTopologyConfig& cfg);
 
-  void start();
+class WlanTopology : public Topology {
+ public:
+  explicit WlanTopology(const WlanTopologyConfig& cfg)
+      : Topology(wlan_spec(cfg)) {}
+
   /// Schedules a link-layer handoff to the other AP at `at` (AP1→AP2
   /// first; repeated calls alternate).
   void schedule_handoff(SimTime at);
 
-  Simulation& simulation() { return sim_; }
-  Node& cn() { return *cn_; }
-  Node& ar() { return *ar_; }
-  Node& mh() { return *mh_; }
-  ArAgent& ar_agent() { return *ar_agent_; }
-  MhAgent& mh_agent() { return *mh_agent_; }
-  WlanManager& wlan() { return *wlan_; }
-  Address mh_coa() const;
-  AccessPoint& ap1() { return *ap1_; }
-  AccessPoint& ap2() { return *ap2_; }
-
- private:
-  WlanTopologyConfig cfg_;
-  Simulation sim_;
-  std::unique_ptr<Network> net_;
-  Node* cn_ = nullptr;
-  Node* r_ = nullptr;
-  Node* ar_ = nullptr;
-  Node* mh_ = nullptr;
-  std::unique_ptr<ArAgent> ar_agent_;
-  std::unique_ptr<MhAgent> mh_agent_;
-  std::unique_ptr<WlanManager> wlan_;
-  AccessPoint* ap1_ = nullptr;
-  AccessPoint* ap2_ = nullptr;
+  Node& ar() { return Topology::ar(0); }
+  ArAgent& ar_agent() { return Topology::ar_agent(0); }
+  Node& mh() { return *mobile(0).node; }
+  MhAgent& mh_agent() { return *mobile(0).agent; }
+  Address mh_coa() { return mobile(0).regional; }
+  AccessPoint& ap1() { return ap(0); }
+  AccessPoint& ap2() { return ap(1); }
 };
 
 }  // namespace fhmip

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/timeline.hpp"
+
 namespace fhmip {
 
 const char* to_string(HandoverOutcome o) {
@@ -34,25 +36,32 @@ const char* to_string(HandoverCause c) {
   return "?";
 }
 
-void HandoverOutcomeRecorder::record(MhId mh, SimTime at,
-                                     HandoverOutcome outcome,
-                                     HandoverCause cause,
-                                     const PhaseBreakdown& phases) {
-  attempts_.push_back({mh, at, outcome, cause, phases});
-  ++by_outcome_[static_cast<int>(outcome)];
-  ++by_cause_[static_cast<int>(cause)];
+std::uint64_t HandoverOutcomeRecorder::attempts() const {
+  return timeline_->attempts().size();
+}
+
+std::uint64_t HandoverOutcomeRecorder::count(HandoverOutcome o) const {
+  std::uint64_t n = 0;
+  for (const obs::HoAttempt& a : timeline_->attempts())
+    if (a.outcome == o) ++n;
+  return n;
+}
+
+std::uint64_t HandoverOutcomeRecorder::count(HandoverCause c) const {
+  std::uint64_t n = 0;
+  for (const obs::HoAttempt& a : timeline_->attempts())
+    if (a.cause == c) ++n;
+  return n;
 }
 
 double HandoverOutcomeRecorder::success_rate() const {
-  if (attempts_.empty()) return 1.0;
+  if (attempts() == 0) return 1.0;
   return static_cast<double>(completed()) /
-         static_cast<double>(attempts_.size());
+         static_cast<double>(attempts());
 }
 
-void HandoverOutcomeRecorder::reset() {
-  attempts_.clear();
-  for (auto& c : by_outcome_) c = 0;
-  for (auto& c : by_cause_) c = 0;
+const std::vector<obs::HoAttempt>& HandoverOutcomeRecorder::history() const {
+  return timeline_->attempts();
 }
 
 std::string HandoverOutcomeRecorder::format_table(
@@ -65,26 +74,27 @@ std::string HandoverOutcomeRecorder::format_table(
   for (int i = 0; i < kNumHandoverOutcomes; ++i) {
     std::snprintf(line, sizeof(line), "  %-18s %8llu\n",
                   to_string(static_cast<HandoverOutcome>(i)),
-                  static_cast<unsigned long long>(by_outcome_[i]));
+                  static_cast<unsigned long long>(
+                      count(static_cast<HandoverOutcome>(i))));
     out += line;
   }
   for (int i = 0; i < kNumHandoverCauses; ++i) {
     std::snprintf(line, sizeof(line), "  cause/%-12s %8llu\n",
                   to_string(static_cast<HandoverCause>(i)),
-                  static_cast<unsigned long long>(by_cause_[i]));
+                  static_cast<unsigned long long>(
+                      count(static_cast<HandoverCause>(i))));
     out += line;
   }
   std::snprintf(line, sizeof(line), "  %-18s %7.2f%%\n", "success rate",
                 100.0 * success_rate());
   out += line;
-  // Mean per-phase latencies over the attempts that exhibited the phase
-  // (populated when a handover timeline fed the recorder).
+  // Mean per-phase latencies over the attempts that exhibited the phase.
   struct Span {
     const char* name;
     double sum_ms = 0;
     std::uint64_t n = 0;
   } spans[4] = {{"anticipation"}, {"fbu-fback"}, {"blackout"}, {"total"}};
-  for (const auto& a : attempts_) {
+  for (const obs::HoAttempt& a : history()) {
     if (a.phases.has_anticipation) {
       spans[0].sum_ms += a.phases.anticipation.millis_f();
       ++spans[0].n;

@@ -60,31 +60,23 @@ struct PhaseBreakdown {
   bool has_total = false;  // false when no timeline observed the attempt
 };
 
-/// One resolved handover attempt.
-struct HandoverAttempt {
-  MhId mh = kNoNode;
-  SimTime at;  // resolution time (attach for predictive, FBack/exhaustion
-               // for reactive/failed)
-  HandoverOutcome outcome = HandoverOutcome::kPredictive;
-  HandoverCause cause = HandoverCause::kNone;
-  PhaseBreakdown phases;  // all-flags-false when no timeline was attached
-};
+namespace obs {
+class HandoverTimeline;
+struct HoAttempt;
+}  // namespace obs
 
-/// Collects per-attempt handover outcomes so scenarios and benches can
-/// report success rates under fault sweeps. One recorder is shared by all
-/// mobile hosts of a scenario; agents report through `record`.
+/// Per-attempt handover outcomes for scenarios and benches to report
+/// success rates under fault sweeps: a read-only view over the attempts the
+/// simulation's handover timeline resolved (src/obs/timeline.hpp), which is
+/// the one per-attempt record. Agents resolve attempts there, never here.
 class HandoverOutcomeRecorder {
  public:
-  void record(MhId mh, SimTime at, HandoverOutcome outcome,
-              HandoverCause cause, const PhaseBreakdown& phases = {});
+  explicit HandoverOutcomeRecorder(const obs::HandoverTimeline& timeline)
+      : timeline_(&timeline) {}
 
-  std::uint64_t attempts() const { return attempts_.size(); }
-  std::uint64_t count(HandoverOutcome o) const {
-    return by_outcome_[static_cast<int>(o)];
-  }
-  std::uint64_t count(HandoverCause c) const {
-    return by_cause_[static_cast<int>(c)];
-  }
+  std::uint64_t attempts() const;
+  std::uint64_t count(HandoverOutcome o) const;
+  std::uint64_t count(HandoverCause c) const;
   /// Predictive + reactive attempts (the host recovered redirection).
   std::uint64_t completed() const {
     return count(HandoverOutcome::kPredictive) +
@@ -93,17 +85,14 @@ class HandoverOutcomeRecorder {
   /// completed / attempts in [0, 1]; 1 when no attempts were made.
   double success_rate() const;
 
-  const std::vector<HandoverAttempt>& history() const { return attempts_; }
-  void reset();
+  const std::vector<obs::HoAttempt>& history() const;
 
   /// Aligned text table with one row per outcome and per cause — the
   /// "outcome stats table" benches print alongside the paper figures.
   std::string format_table(const std::string& title) const;
 
  private:
-  std::vector<HandoverAttempt> attempts_;
-  std::uint64_t by_outcome_[kNumHandoverOutcomes] = {};
-  std::uint64_t by_cause_[kNumHandoverCauses] = {};
+  const obs::HandoverTimeline* timeline_;
 };
 
 }  // namespace fhmip

@@ -81,9 +81,11 @@ class FixtureRoot(unittest.TestCase):
 class TestSemanticRules(FixtureRoot):
     def test_life01_fires_and_suppresses(self):
         p = self.stage("life01.hpp")
-        # Positive in LeakyTicker::arm; NOLINT in JustifiedTicker::arm;
-        # TidyTicker cancels in its destructor and stays silent.
-        self.assert_findings("LIFE-01", p, [11], [24])
+        # Positive in LeakyTicker::arm; OwningTicker's scheduler is a
+        # by-value member and stays silent; NOLINT in JustifiedTicker::arm
+        # (a reference member still fires); TidyTicker cancels in its
+        # destructor and stays silent.
+        self.assert_findings("LIFE-01", p, [13], [39])
 
     def test_det01_fires_and_suppresses(self):
         p = self.stage("det01.hpp")

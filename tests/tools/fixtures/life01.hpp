@@ -1,7 +1,9 @@
 #pragma once
 // LIFE-01 fixture: a this-capturing timer registered without a cancelling
-// destructor (positive), and the same pattern inline-suppressed (negative).
-// The corpus is analyzed, never compiled, so the types are stand-ins.
+// destructor (positive), the same pattern on a scheduler the class owns by
+// value (negative), and on a referenced scheduler with an inline
+// suppression. The corpus is analyzed, never compiled, so the types are
+// stand-ins.
 
 namespace fix {
 
@@ -17,16 +19,29 @@ class LeakyTicker {
   SimTime delay_;
 };
 
-class JustifiedTicker {
+class OwningTicker {
  public:
   void arm() {
     // The scheduler is a member: pending events die (unrun) with *this.
-    sim_.in(delay_, [this] { fire(); });  // NOLINT-FHMIP(LIFE-01)
+    sim_.in(delay_, [this] { fire(); });
   }
   void fire();
 
  private:
   Simulation sim_;
+  SimTime delay_;
+};
+
+class JustifiedTicker {
+ public:
+  void arm() {
+    // The referenced simulation is owned by a sibling destroyed first.
+    sim_.in(delay_, [this] { fire(); });  // NOLINT-FHMIP(LIFE-01)
+  }
+  void fire();
+
+ private:
+  Simulation& sim_;
   SimTime delay_;
 };
 

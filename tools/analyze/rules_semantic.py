@@ -94,6 +94,24 @@ _HANDLER_PAIRS = {
     "set_forward_filter": "set_forward_filter",
 }
 _TIMER_CALLS = {"in", "at", "schedule_in", "schedule_at"}
+# Scheduler types a class may own by value; events pending on an owned one
+# die, unrun, with the object.
+_OWNED_SCHEDULERS = {"Simulation", "Scheduler"}
+
+
+def _owned_scheduler(cls, toks, i) -> bool:
+    """True when the timer call at toks[i] is made on a by-value
+    Simulation/Scheduler field of the class (`sim_.at(...)` or
+    `this->sim_.at(...)`): the this-capture cannot outlive the object. A
+    reference or pointer member does not own the scheduler."""
+    if i < 2 or toks[i - 1].text != "." or toks[i - 2].kind != ID:
+        return False
+    if i >= 3 and toks[i - 3].text in (".", "->", "::"):
+        if not (toks[i - 3].text == "->" and i >= 4
+                and toks[i - 4].text == "this"):
+            return False
+    ftype = cls.fields.get(toks[i - 2].text, "").split()
+    return bool(ftype) and ftype[-1] in _OWNED_SCHEDULERS
 
 
 def _dtor_reaches(cls, dtor, token_text) -> bool:
@@ -142,7 +160,8 @@ def check_life01(ctx, unit):
                         required = _HANDLER_PAIRS[name]
                         kind = "handler"
                     elif name in _TIMER_CALLS and i > 0 \
-                            and toks[i - 1].text in (".", "->"):
+                            and toks[i - 1].text in (".", "->") \
+                            and not _owned_scheduler(cls, toks, i):
                         required = "cancel"
                         kind = "timer"
                     if required is not None:

@@ -5,14 +5,16 @@ Usage:
   stdout_digest.py <build-dir> [--smoke] [--jobs N] [--compare-jobs M]
 
 Runs every bench registered in bench/CMakeLists.txt (fhmip_bench and
-fhmip_sweep_bench; not micro_core) from <build-dir>/bench, one at a time,
-and prints
+fhmip_sweep_bench; not micro_core) from <build-dir>/bench, then every
+example registered in examples/CMakeLists.txt from <build-dir>/examples,
+one at a time, and prints
 
   <exit> <sha256-of-stdout> <bench>
+  <exit> <sha256-of-stdout> examples/<example>
 
 in registration order. Sweep benches get `--jobs N` (default 1). With
---smoke only the sweep benches run, each with `--smoke`. Stderr (wall
-times) is discarded.
+--smoke only the sweep benches run, each with `--smoke`, and no example.
+Stderr (wall times) is discarded.
 
 A no-behaviour-change claim is then one diff of the parent's and the
 change's output. --compare-jobs M runs the set a second time at --jobs M
@@ -33,6 +35,7 @@ import sys
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 REGISTRATION = re.compile(r"^\s*(fhmip_bench|fhmip_sweep_bench)\((\w+)\)",
                           re.MULTILINE)
+EXAMPLE = re.compile(r"^\s*fhmip_example\((\w+)\)", re.MULTILINE)
 
 
 def registered_benches():
@@ -43,22 +46,35 @@ def registered_benches():
             for kind, name in REGISTRATION.findall(text)]
 
 
+def registered_examples():
+    """Example names in examples/CMakeLists.txt registration order."""
+    with open(os.path.join(REPO, "examples", "CMakeLists.txt")) as f:
+        return EXAMPLE.findall(f.read())
+
+
+def digest(exe, args, label):
+    if not os.path.exists(exe):
+        return f"missing - {label}"
+    run = subprocess.run([exe] + args, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, check=False)
+    sha = hashlib.sha256(run.stdout).hexdigest()
+    return f"{run.returncode} {sha} {label}"
+
+
 def digest_lines(build_dir, smoke, jobs):
     lines = []
     for name, is_sweep in registered_benches():
         if smoke and not is_sweep:
             continue
-        exe = os.path.join(build_dir, "bench", name)
-        if not os.path.exists(exe):
-            lines.append(f"missing - {name}")
-            continue
-        cmd = [exe]
+        args = []
         if is_sweep:
-            cmd += ["--jobs", str(jobs)] + (["--smoke"] if smoke else [])
-        run = subprocess.run(cmd, stdout=subprocess.PIPE,
-                             stderr=subprocess.DEVNULL, check=False)
-        sha = hashlib.sha256(run.stdout).hexdigest()
-        lines.append(f"{run.returncode} {sha} {name}")
+            args = ["--jobs", str(jobs)] + (["--smoke"] if smoke else [])
+        lines.append(digest(os.path.join(build_dir, "bench", name), args,
+                            name))
+    if not smoke:
+        for name in registered_examples():
+            lines.append(digest(os.path.join(build_dir, "examples", name), [],
+                                f"examples/{name}"))
     return lines
 
 
