@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   if (num(kv, "trace", 0) != 0) {
     // Trace only the interesting window around the first handover.
-    sim.trace().set_sink([&](const TraceEvent& e) {
+    sim.trace().add_sink([&](const TraceEvent& e) {
       if (e.at > 10_s && e.at < 13_s && e.flow != kNoFlow) {
         std::puts(format_trace_line(e).c_str());
       }

@@ -244,7 +244,6 @@ void ArAgent::on_rtsolpr(const RtSolPrMsg& m, Address src) {
     hi.br = ctx.request;
     hi.has_br = true;
   }
-  hi.auth_token = m.auth_token;
   hi.seq = ++next_seq_;
   ctx.hi_msg = hi;
   ctx.hi_sends = 1;
@@ -306,18 +305,6 @@ void ArAgent::on_hi(const HiMsg& m) {
       return;
     }
   }
-  if (!auth_.verify(m.mh, m.auth_token)) {
-    // §5: the NAR refuses unauthenticated handovers — no buffer, no host
-    // route, no tunnel endpoint. The host may still attach at L2 and
-    // re-register the slow way.
-    HackMsg hack;
-    hack.mh = m.mh;
-    hack.accepted = false;
-    hack.seq = m.seq;
-    ++counters_.hack_sent;
-    send_control(m.par_addr, hack);
-    return;
-  }
   teardown(m.mh, ArRole::kNar);
   NarContext ctx;
   ctx.mh = m.mh;
@@ -372,7 +359,6 @@ void ArAgent::on_hi(const HiMsg& m) {
 
   HackMsg hack;
   hack.mh = m.mh;
-  hack.accepted = true;
   hack.ncoa = ncoa;
   hack.granted_pkts = ctx.grant;
   hack.buffer_ok = ctx.grant > 0;
@@ -415,22 +401,6 @@ void ArAgent::on_hack(const HackMsg& m) {
   node_.sim().timeline().record(node_.sim().now(), m.mh,
                                 obs::HoEventKind::kHackRecv, node_.name());
   ctx.nar_grant = m.buffer_ok ? m.granted_pkts : 0;
-  if (!m.accepted) {
-    // The NAR refused the handover (authentication): no tunnel exists, so
-    // the PAR must not redirect or buffer — the host gets a plain, lossy
-    // handoff. Report the empty grant.
-    ctx.nar_rejected = true;
-    PrRtAdvMsg adv;
-    adv.mh = m.mh;
-    adv.nar_addr = ctx.nar_addr;
-    adv.nar_prefix = ctx.nar_addr.net;
-    adv.seq = ctx.rtsolpr_seq;
-    ctx.adv_msg = adv;
-    ctx.adv_sent = true;
-    ++counters_.prrtadv_sent;
-    node_.send(make_control(node_.sim(), address(), ctx.pcoa, adv));
-    return;
-  }
 
   // PAR-side allocation policy: with classification on, the PAR's share is
   // needed for best-effort and high-priority overflow (Table 3.3 cases

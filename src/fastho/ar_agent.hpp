@@ -8,7 +8,6 @@
 #include "buffer/buffer_manager.hpp"
 #include "buffer/policy.hpp"
 #include "buffer/rate_estimator.hpp"
-#include "fastho/auth.hpp"
 #include "fastho/messages.hpp"
 #include "fastho/reliability.hpp"
 #include "net/node.hpp"
@@ -95,8 +94,6 @@ class ArAgent : public ArAttachListener {
   Address address() const { return node_.address(); }
   std::uint32_t prefix() const { return node_.address().net; }
   BufferManager& buffers() { return buffers_; }
-  /// Handover admission control (NAR side; off by default).
-  HandoverAuthenticator& auth() { return auth_; }
   /// Marks an interface identifier as already in use on this subnet —
   /// NCoA proposals colliding with it get a substitute address (§2.3.2's
   /// "verifying if NCoA ... is a valid address in the subnet").
@@ -128,7 +125,7 @@ class ArAgent : public ArAttachListener {
     Address pcoa;
     Address nar_addr;
     std::uint32_t nar_grant = 0;   // what the NAR granted via HAck+BA
-    bool nar_rejected = false;     // HAck refused / negotiation exhausted
+    bool nar_rejected = false;     // HI retries exhausted, no NAR answer
     bool hack_received = false;
     bool redirecting = false;
     bool nar_full = false;         // Buffer Full received from the NAR
@@ -224,7 +221,6 @@ class ArAgent : public ArAttachListener {
   std::map<MhId, IntraContext> intra_;
   std::map<MhId, SimplexLink*> attached_;
   std::map<MhId, RateEstimator> rates_;
-  HandoverAuthenticator auth_;
   std::set<std::uint32_t> reserved_hosts_;
   std::map<std::uint32_t, MhId> host_alias_;  // substituted NCoA hosts
   std::uint64_t ncoa_collisions_ = 0;

@@ -1,6 +1,5 @@
 #include "fastho/mh_agent.hpp"
 
-#include "fastho/auth.hpp"
 #include "sim/check.hpp"
 #include "sim/simulation.hpp"
 
@@ -200,9 +199,6 @@ void MhAgent::send_rtsolpr(NodeId target_ap) {
   RtSolPrMsg m;
   m.mh = id();
   m.target_ap = target_ap;
-  if (cfg_.auth_key != 0) {
-    m.auth_token = HandoverAuthenticator::token(id(), cfg_.auth_key);
-  }
   if (cfg_.request_buffers) {
     m.has_bi = true;
     m.bi.size_pkts = cfg_.scheme.request_pkts;

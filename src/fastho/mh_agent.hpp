@@ -49,9 +49,6 @@ class MhAgent : public L2Callbacks {
     /// single-radio host cannot hear the second cell, which is the
     /// thesis's argument for buffering.
     bool simultaneous_binding = false;
-    /// Shared handover-authentication key (0 = none). The token derived
-    /// from it is stamped on RtSolPr and verified by the NAR (§5).
-    std::uint64_t auth_key = 0;
     /// BI start_time = trigger time + this offset; zero disables the
     /// fast-mover safety valve.
     SimTime start_time_offset;

@@ -15,8 +15,7 @@ struct BindingEntry {
   SimTime expires;
 };
 
-/// The binding cache kept by home agents and MAPs (§2.1.1 "mobility binding
-/// table", §2.2.1 MAP binding cache). Lookup is lazy-expiring.
+/// The MAP's binding cache (§2.2.1). Lookup is lazy-expiring.
 class BindingCache {
  public:
   void update(Address key, Address coa, SimTime now, SimTime lifetime);

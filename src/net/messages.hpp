@@ -65,8 +65,6 @@ struct RtSolPrMsg {
   NodeId target_ap = kNoNode;
   BufferRequest bi;
   bool has_bi = false;
-  /// Handover authentication token (0 = none); verified by the NAR.
-  std::uint64_t auth_token = 0;
   CtrlSeq seq = kNoCtrlSeq;
 };
 
@@ -90,8 +88,6 @@ struct HiMsg {
   Address par_addr;
   BufferRequest br;
   bool has_br = false;
-  /// The MH's authentication token, relayed from RtSolPr for the NAR.
-  std::uint64_t auth_token = 0;
   CtrlSeq seq = kNoCtrlSeq;
 };
 
@@ -100,7 +96,6 @@ struct HiMsg {
 /// an address already in use on its subnet — §2.3.2's NCoA verification).
 struct HackMsg {
   MhId mh = kNoNode;
-  bool accepted = false;
   Address ncoa;
   std::uint32_t granted_pkts = 0;
   bool buffer_ok = false;
@@ -182,21 +177,6 @@ struct BindingAckMsg {
   bool accepted = false;
 };
 
-/// MIPv4-style registration (home agent path; lifetime zero = deregister).
-struct RegistrationRequestMsg {
-  MhId mh = kNoNode;
-  Address home_addr;
-  Address home_agent;
-  Address coa;
-  SimTime lifetime;
-};
-struct RegistrationReplyMsg {
-  MhId mh = kNoNode;
-  Address home_addr;
-  bool accepted = false;
-  SimTime lifetime;
-};
-
 // ---------------------------------------------------------------------------
 // Transport payloads.
 // ---------------------------------------------------------------------------
@@ -214,7 +194,7 @@ using MessageVariant =
     std::variant<std::monostate, RouterAdvMsg, RtSolPrMsg, PrRtAdvMsg, HiMsg,
                  HackMsg, FbuMsg, FbackMsg, FnaMsg, FnaAckMsg, BfMsg,
                  BufferFullMsg, BiMsg, BaMsg, BindingUpdateMsg, BindingAckMsg,
-                 RegistrationRequestMsg, RegistrationReplyMsg, TcpSegMsg>;
+                 TcpSegMsg>;
 
 /// True for protocol-control payloads (everything except plain data / TCP).
 bool is_control(const MessageVariant& m);

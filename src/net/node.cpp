@@ -87,7 +87,6 @@ void Node::send(PacketPtr p) {
 }
 
 void Node::forward(PacketPtr p, bool decrement_ttl) {
-  if (forward_filter_) forward_filter_(*p);
   if (decrement_ttl) {
     if (p->ttl == 0) {
       drop(std::move(p), DropReason::kTtlExpired);

@@ -32,12 +32,6 @@ const char* message_name(const MessageVariant& m) {
     const char* operator()(const BaMsg&) const { return "BA"; }
     const char* operator()(const BindingUpdateMsg&) const { return "BU"; }
     const char* operator()(const BindingAckMsg&) const { return "BAck"; }
-    const char* operator()(const RegistrationRequestMsg&) const {
-      return "RegReq";
-    }
-    const char* operator()(const RegistrationReplyMsg&) const {
-      return "RegRep";
-    }
     const char* operator()(const TcpSegMsg&) const { return "TCP"; }
   };
   return std::visit(Visitor{}, m);

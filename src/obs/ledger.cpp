@@ -29,7 +29,8 @@ PacketLedger::PacketLedger(Simulation& sim, bool track_uids)
 
 PacketLedger::~PacketLedger() { sim_.trace().remove_sink(sink_id_); }
 
-void PacketLedger::violation(const TraceEvent& e, const char* what) {
+void PacketLedger::violation([[maybe_unused]] const TraceEvent& e,
+                             [[maybe_unused]] const char* what) {
   ++violations_;
   [[maybe_unused]] constexpr bool packet_ledger_state_ok = false;
   FHMIP_AUDIT_MSG("obs", packet_ledger_state_ok,
@@ -104,13 +105,13 @@ bool PacketLedger::balanced() const {
          agg_.in_flight() >= 0;
 }
 
-void PacketLedger::audit(const char* where) const {
+void PacketLedger::audit([[maybe_unused]] const char* where) const {
   FHMIP_AUDIT_MSG("obs", balanced(),
                   std::string("packet ledger unbalanced at ") + where + "\n" +
                       format());
 }
 
-void PacketLedger::audit_final(const char* where) const {
+void PacketLedger::audit_final([[maybe_unused]] const char* where) const {
   FHMIP_AUDIT_MSG(
       "obs", balanced() && in_flight() == 0 && in_buffer() == 0,
       std::string("packet ledger not fully drained at ") + where + "\n" +

@@ -117,22 +117,25 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(name) + "\":" + std::to_string(c.value());
+    out.append("\"").append(escape(name)).append("\":");
+    out += std::to_string(c.value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(name) + "\":" + std::to_string(g.value());
+    out.append("\"").append(escape(name)).append("\":");
+    out += std::to_string(g.value());
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(name) + "\":{\"count\":" + std::to_string(h.count()) +
-           ",\"sum\":" + num(h.sum()) + ",\"bounds\":[";
+    out.append("\"").append(escape(name)).append("\":{\"count\":");
+    out.append(std::to_string(h.count())).append(",\"sum\":");
+    out.append(num(h.sum())).append(",\"bounds\":[");
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i) out += ",";
       out += num(h.bounds()[i]);

@@ -104,7 +104,9 @@ QosDropResult run_qos_drop_experiment(const QosDropParams& p,
 
   QosDropResult r;
   for (const FlowSpec& f : flows) {
-    r.per_flow_drops.emplace_back("F" + std::to_string(f.id));
+    std::string name = "F";
+    name += std::to_string(f.id);
+    r.per_flow_drops.emplace_back(std::move(name));
   }
   // One handoff per leg: sample cumulative per-flow drops after each leg.
   Simulation& sim = topo.simulation();

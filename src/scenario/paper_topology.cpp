@@ -23,7 +23,6 @@ TopologySpec paper_spec(const PaperTopologyConfig& cfg) {
   mh.request_buffers = cfg.request_buffers;
   mh.anticipate = cfg.anticipate;
   mh.simultaneous_binding = cfg.simultaneous_binding;
-  mh.auth_key = cfg.auth_key;
   mh.start_time_offset = cfg.start_time_offset;
   mh.watchdog = cfg.watchdog;
   mh.rtx = cfg.rtx;

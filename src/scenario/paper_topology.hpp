@@ -39,7 +39,6 @@ struct PaperTopologyConfig {
   bool request_buffers = true;
   bool anticipate = true;
   bool simultaneous_binding = false;
-  std::uint64_t auth_key = 0;
   SimTime start_time_offset;
   /// Per-attempt handover liveness deadline for every MH agent (zero =
   /// disabled; see MhAgent::Config::watchdog).

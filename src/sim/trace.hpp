@@ -76,19 +76,6 @@ class PacketTrace {
     }
   }
 
-  /// Legacy single-sink interface: replaces the sink installed by the last
-  /// set_sink() call, leaving add_sink() attachments (ledgers, file
-  /// writers) untouched.
-  void set_sink(Sink sink) {
-    if (legacy_id_ != kNoSink) remove_sink(legacy_id_);
-    legacy_id_ = add_sink(std::move(sink));
-  }
-  /// Removes the set_sink() sink (legacy name kept for existing callers).
-  void clear() {
-    if (legacy_id_ != kNoSink) remove_sink(legacy_id_);
-    legacy_id_ = kNoSink;
-  }
-
   bool enabled() const { return !sinks_.empty(); }
   std::size_t sink_count() const { return sinks_.size(); }
 
@@ -100,7 +87,6 @@ class PacketTrace {
  private:
   std::vector<std::pair<SinkId, Sink>> sinks_;
   SinkId next_id_ = 1;
-  SinkId legacy_id_ = kNoSink;
 };
 
 }  // namespace fhmip

@@ -20,7 +20,9 @@ TextTable flow_table(const StatsHub& stats,
     std::snprintf(mean, sizeof(mean), "%.2f", d.mean * 1000);
     std::snprintf(p99, sizeof(p99), "%.2f", d.p99 * 1000);
     std::snprintf(mx, sizeof(mx), "%.2f", d.max * 1000);
-    std::vector<std::string> row = {"F" + std::to_string(f),
+    std::string name = "F";
+    name += std::to_string(f);
+    std::vector<std::string> row = {std::move(name),
                                     std::to_string(c.sent),
                                     std::to_string(c.delivered),
                                     std::to_string(c.dropped),

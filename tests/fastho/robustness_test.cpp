@@ -198,6 +198,40 @@ TEST_F(RobustnessFixture, RetransmittedHiDoesNotDoubleAllocate) {
   EXPECT_EQ(topo->nar_agent().buffers().leased(), 0u);
 }
 
+TEST_F(RobustnessFixture, ExhaustedHiFallsBackToUnassistedHandoff) {
+  // Black-hole every HI on the PAR->NAR link. The PAR gives up after its
+  // retries and marks the NAR as rejected: the host gets an empty grant,
+  // no tunnel endpoint exists, and redirected packets die at the PAR as
+  // unattached. The attempt must still resolve and traffic must resume.
+  // The FBU arrives before the retries run out, so the first redirected
+  // packets enter the tunnel; the NAR, which holds no host route for the
+  // PCoA, routes them back and they circulate until kTtlExpired. That
+  // count is a known defect and is left unpinned here.
+  build();
+  Simulation& sim = topo->simulation();
+  fault::LinkFaultInjector inj(sim, topo->par_nar_link().a_to_b());
+  inj.drop_matching(fault::message_named("HI"));
+  sim.run_until(20_s);
+  EXPECT_EQ(inj.dropped(), cfg.rtx.max_retries + 1u);
+  const auto& par = topo->par_agent().counters();
+  EXPECT_EQ(par.hi_exhausted, 1u);
+  EXPECT_EQ(topo->nar_agent().counters().hi_received, 0u);
+  const BufferGrant& g = topo->mobile(0).agent->last_grant();
+  EXPECT_FALSE(g.nar_ok);
+  EXPECT_FALSE(g.par_ok);
+  EXPECT_GT(par.redirected, 0u);
+  EXPECT_GT(sim.stats().total_drops(DropReason::kUnattached), 0u);
+  const HandoverOutcomeRecorder& rec = topo->outcomes();
+  EXPECT_GE(rec.attempts(), 1u);
+  EXPECT_EQ(rec.attempts(),
+            rec.completed() + rec.count(HandoverOutcome::kFailed));
+  const FlowCounters& c = sim.stats().flow(1);
+  EXPECT_EQ(c.sent, c.delivered + c.dropped);
+  EXPECT_GT(c.delivered, 1200u);
+  EXPECT_EQ(topo->par_agent().buffers().leased(), 0u);
+  EXPECT_EQ(topo->nar_agent().buffers().leased(), 0u);
+}
+
 TEST_F(RobustnessFixture, LossyInterArLinkDegradesGracefully) {
   // 30% loss on the inter-AR link randomly kills HI/HAck/BF messages and
   // tunneled data: handovers degrade (lost grants, lost drains) but the

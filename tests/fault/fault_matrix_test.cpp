@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -52,15 +54,28 @@ enum class Action { kDropOnce, kDuplicate, kDelayPastRetry, kReorder };
 /// Role-relative link selector: resolved against the attempt's old/new AR.
 enum class Where { kUpOld, kDownOld, kUpNew, kDownNew, kToNew, kToOld };
 
+/// Case names print all 40 bytes of the cell, so it holds its labels inline
+/// (pointer values change from run to run) and its padding is explicit
+/// zeros.
 struct Cell {
-  const char* row;   // matrix row label (thesis naming)
-  const char* wire;  // message_name() string; nullptr = HI-carrying-BR
+  Cell(std::string_view row_in, std::string_view wire_in, Where where_in,
+       Action action_in, int phase_in, int copies_in, bool baseline_in)
+      : where(where_in), action(action_in), phase(phase_in),
+        copies(copies_in), baseline(baseline_in) {
+    row_in.copy(row, sizeof(row) - 1);
+    wire_in.copy(wire, sizeof(wire) - 1);
+  }
+
+  char row[8] = {};   // matrix row label (thesis naming)
+  char wire[8] = {};  // message_name() string; empty = HI-carrying-BR
   Where where;
   Action action;
   int phase;      // 1-based occurrence of the message across the run
   int copies;     // simultaneous wire copies of one logical send
   bool baseline;  // §2.4 standalone scenario instead of a handover
+  std::uint8_t zero[7] = {};
 };
+static_assert(sizeof(Cell) == 40, "case names print all 40 bytes");
 
 const char* action_name(Action a) {
   switch (a) {
@@ -95,7 +110,7 @@ std::vector<Cell> matrix_cells() {
       {"FNA", "FNA", Where::kUpNew, 1, false},
       {"FnaAck", "FNAAck", Where::kDownNew, 1, false},
       {"BF", "BF", Where::kToOld, 1, false},
-      {"BR", nullptr, Where::kToNew, 1, false},  // piggybacked on HI
+      {"BR", "", Where::kToNew, 1, false},  // piggybacked on HI
       {"BI", "BI", Where::kUpOld, 1, true},
       {"BA", "BA", Where::kDownOld, 1, true},
   };
@@ -167,7 +182,7 @@ TEST_P(FaultMatrix, InvariantsHoldUnderSingleFault) {
   const std::uint64_t base = cell.copies * (nth - 1) + 1;
 
   fault::PacketPredicate pred =
-      cell.wire != nullptr
+      cell.wire[0] != '\0'
           ? fault::message_named(cell.wire)
           : fault::PacketPredicate([](const Packet& p) {
               const auto* hi = std::get_if<HiMsg>(&p.msg);

@@ -3,11 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "net/node.hpp"
 #include "net/routing.hpp"
 #include "sim/simulation.hpp"
 #include "stats/flow_table.hpp"
-#include "transport/diffserv.hpp"
 
 namespace fhmip {
 namespace {
@@ -46,34 +44,6 @@ TEST(FormatDeterminism, RoutingTableIgnoresInsertionOrderAndRehash) {
   ASSERT_EQ(fwd.num_host_routes(), rev.num_host_routes());
   EXPECT_FALSE(fwd.format_table().empty());
   EXPECT_EQ(fwd.format_table(), rev.format_table());
-}
-
-TEST(FormatDeterminism, DiffservRulesIgnoreInsertionOrderAndRehash) {
-  Simulation sim;
-  Node a{sim, 1, "a"};
-  Node b{sim, 2, "b"};
-  DiffservMarker fwd(a);
-  DiffservMarker rev(b);
-  for (std::uint16_t p = 0; p < 48; ++p) {
-    fwd.add_rule(static_cast<std::uint16_t>(5000 + p),
-                 p % 2 ? DiffservPhb::kExpeditedForwarding
-                       : DiffservPhb::kAssuredForwarding);
-  }
-  for (std::uint16_t p = 48; p-- > 0;) {
-    rev.add_rule(static_cast<std::uint16_t>(7000 + p), DiffservPhb::kDefault);
-    rev.add_rule(static_cast<std::uint16_t>(5000 + p),
-                 p % 2 ? DiffservPhb::kExpeditedForwarding
-                       : DiffservPhb::kAssuredForwarding);
-  }
-  for (std::uint16_t p = 0; p < 48; ++p) {
-    rev.remove_rule(static_cast<std::uint16_t>(7000 + p));
-  }
-  fwd.set_default_phb(DiffservPhb::kExpeditedForwarding);
-  rev.set_default_phb(DiffservPhb::kExpeditedForwarding);
-
-  ASSERT_EQ(fwd.num_rules(), rev.num_rules());
-  EXPECT_FALSE(fwd.format_rules().empty());
-  EXPECT_EQ(fwd.format_rules(), rev.format_rules());
 }
 
 TEST(FormatDeterminism, FlowTableIgnoresRecordingOrder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "fault/crash.hpp"
@@ -24,15 +26,44 @@ using namespace timeliterals;
 /// buffering configuration in the grid. This is the ledger doing the job it
 /// was built for: any unaccounted packet path (a drop without a reason, a
 /// buffer exit that never happened) fails here before it can skew a figure.
+/// ctest names end with all 32 bytes of the case, so the padding is
+/// explicit zeros.
 struct Params {
+  Params(double loss_in, int blackout_ms_in, std::uint32_t pool_in,
+         std::uint64_t seed_in, bool crash_in, int lifetime_ms_in)
+      : loss(loss_in), blackout_ms(blackout_ms_in), pool(pool_in),
+        seed(seed_in), crash(crash_in), lifetime_ms(lifetime_ms_in) {}
+
   double loss;        // Bernoulli loss on the PAR->NAR inter-AR link
   int blackout_ms;    // L2 handoff delay
   std::uint32_t pool; // handoff buffer pool (0 = grants always denied)
   std::uint64_t seed;
   bool crash;         // scripted PAR crashes mid-run
+  std::uint8_t zero[3] = {};
   int lifetime_ms;    // buffer lifetime override (0 = scheme default);
                       // short values expire allocations mid-blackout
 };
+static_assert(sizeof(Params) == 32, "case names print all 32 bytes");
+
+/// "loss5_blackout100_pool10_seed3_crash": loss in percent, then the
+/// optional crash and lifetime-override suffixes.
+std::string params_name(const ::testing::TestParamInfo<Params>& info) {
+  const Params& p = info.param;
+  std::string name = "loss";
+  name += std::to_string(std::lround(p.loss * 100));
+  name += "_blackout";
+  name += std::to_string(p.blackout_ms);
+  name += "_pool";
+  name += std::to_string(p.pool);
+  name += "_seed";
+  name += std::to_string(p.seed);
+  if (p.crash) name += "_crash";
+  if (p.lifetime_ms > 0) {
+    name += "_life";
+    name += std::to_string(p.lifetime_ms);
+  }
+  return name;
+}
 
 class LedgerConservation : public ::testing::TestWithParam<Params> {};
 
@@ -144,7 +175,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{0.0, 400, 40, 6, false, 1200} // expiry-heavy:
                                                            // allocations die
                                                            // mid-blackout
-                      ));
+                      ),
+    params_name);
 
 /// The ledger must also balance when it is attached alongside other sinks
 /// (file writers, test collectors) — multi-sink fan-out does not perturb

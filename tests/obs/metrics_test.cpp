@@ -93,7 +93,11 @@ TEST(MetricsRegistry, ReferencesStayValidAcrossLaterRegistrations) {
   // survive arbitrarily many later registrations.
   MetricsRegistry reg;
   Counter* first = &reg.counter("a");
-  for (int i = 0; i < 200; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    reg.counter(name);
+  }
   first->inc(7);
   EXPECT_EQ(reg.find_counter("a")->value(), 7u);
 }

@@ -86,23 +86,6 @@ TEST(PacketTrace, FansOutToEverySinkInAttachmentOrder) {
   EXPECT_EQ(trace.sink_count(), 1u);
 }
 
-TEST(PacketTrace, LegacySetSinkOnlyReplacesItsOwnAttachment) {
-  PacketTrace trace;
-  int persistent = 0, legacy_a = 0, legacy_b = 0;
-  trace.add_sink([&](const TraceEvent&) { ++persistent; });
-  trace.set_sink([&](const TraceEvent&) { ++legacy_a; });
-  trace.set_sink([&](const TraceEvent&) { ++legacy_b; });  // replaces a only
-  trace.emit(make_event(TraceKind::kCreate, 1));
-  EXPECT_EQ(persistent, 1);
-  EXPECT_EQ(legacy_a, 0);
-  EXPECT_EQ(legacy_b, 1);
-  trace.clear();  // removes the set_sink attachment, not the ledger-style one
-  trace.emit(make_event(TraceKind::kCreate, 2));
-  EXPECT_EQ(persistent, 2);
-  EXPECT_EQ(legacy_b, 1);
-  EXPECT_EQ(trace.sink_count(), 1u);
-}
-
 TEST(PacketTrace, SinkMayDetachItselfWhileHandlingAnEvent) {
   PacketTrace trace;
   int calls = 0;

@@ -41,7 +41,7 @@ TEST_F(CheckTest, FailingAuditReportsThroughSink) {
 
 TEST_F(CheckTest, DetailExpressionOnlyEvaluatedOnFailure) {
   int evaluations = 0;
-  auto detail = [&] {
+  [[maybe_unused]] auto detail = [&] {
     ++evaluations;
     return std::string("context");
   };

@@ -18,11 +18,11 @@ TEST(PacketTrace, DisabledByDefault) {
 TEST(PacketTrace, SinkReceivesEmittedEvents) {
   PacketTrace t;
   int count = 0;
-  t.set_sink([&](const TraceEvent&) { ++count; });
+  const auto id = t.add_sink([&](const TraceEvent&) { ++count; });
   EXPECT_TRUE(t.enabled());
   t.emit(TraceEvent{});
   t.emit(TraceEvent{});
-  t.clear();
+  t.remove_sink(id);
   t.emit(TraceEvent{});
   EXPECT_EQ(count, 2);
 }
@@ -69,7 +69,7 @@ TEST(PacketTrace, PipelineEmitsLifecycleEvents) {
   b.register_port(7, [](PacketPtr) {});
 
   std::vector<TraceEvent> events;
-  sim.trace().set_sink([&](const TraceEvent& e) { events.push_back(e); });
+  sim.trace().add_sink([&](const TraceEvent& e) { events.push_back(e); });
 
   auto p = make_packet(sim, {1, 1}, {2, 1}, 100);
   p->dst_port = 7;
@@ -104,7 +104,7 @@ TEST(PacketTrace, DropEventsCarryReason) {
   Node& a = net.add_node("a");
   a.add_address({1, 1});
   std::vector<TraceEvent> events;
-  sim.trace().set_sink([&](const TraceEvent& e) { events.push_back(e); });
+  sim.trace().add_sink([&](const TraceEvent& e) { events.push_back(e); });
   auto p = make_packet(sim, {1, 1}, {9, 9}, 100);  // no route
   p->flow = 1;
   a.send(std::move(p));
