@@ -79,6 +79,21 @@ void BM_SchedulerHold(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerHold)->Arg(1000)->Arg(10000);
 
+// The same steady state, but every event draws a fresh delay (0-50 ms in
+// ns steps), so no delay recurs and every cell sits loose in the head heap.
+void scatter_fire(HoldLoop* h) {
+  h->s.schedule_in(SimTime::nanos(h->rng.uniform_int(0, 50'000'000)),
+                   [h] { scatter_fire(h); });
+}
+
+void BM_SchedulerScatter(benchmark::State& state) {
+  HoldLoop h;
+  for (std::int64_t i = 0; i < state.range(0); ++i) scatter_fire(&h);
+  for (auto _ : state) benchmark::DoNotOptimize(h.s.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerScatter)->Arg(1000)->Arg(10000);
+
 void BM_DropTailQueuePushPop(benchmark::State& state) {
   Simulation sim;
   DropTailQueue q(1024);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -246,6 +247,94 @@ TEST(Scheduler, ManyEventsStressOrdering) {
   EXPECT_EQ(s.events_executed(), 10'000u);
 }
 
+}  // namespace
+
+// Reads the queue shape behind the public API: how many delay classes have
+// a FIFO and how many loose cells (of delays without one) wait in the head
+// heap.
+struct SchedulerTestPeer {
+  static std::size_t fifos(const Scheduler& s) { return s.fifos_.size(); }
+  static std::size_t loose(const Scheduler& s) {
+    std::size_t n = 0;
+    for (const auto& e : s.heads_) n += e.fifo == Scheduler::kNoFifo;
+    return n;
+  }
+  static constexpr std::size_t kMaxFifos = Scheduler::kMaxFifos;
+  static constexpr std::uint32_t kAdmitAfter = Scheduler::kAdmitAfter;
+};
+
+namespace {
+
+TEST(Scheduler, PromotedDelayKeepsOrderAcrossLooseAndFifoCells) {
+  // Every 10 us, three events at delays 100, 50 and 20 us. Each delay's
+  // first kAdmitAfter - 1 events are loose cells; from its
+  // kAdmitAfter-th on, the delay has a FIFO. The delays line up so that the
+  // 100 us event of tick k, the 50 us event of tick k + 5 and the 20 us event
+  // of tick k + 8 fall on the same instant: ties between loose cells and
+  // FIFO cells, and between FIFOs, which must run in issue order. One
+  // one-shot absolute time ties with them too, and one cell of each kind is
+  // cancelled.
+  constexpr int kTicks = 16;
+  constexpr std::int64_t kDelaysUs[] = {100, 50, 20};
+  constexpr std::uint32_t kAdmit = SchedulerTestPeer::kAdmitAfter;
+  Scheduler s;
+  struct Want {
+    std::int64_t at_us;
+    int issue;
+    std::string label;
+  };
+  std::vector<Want> want;
+  std::vector<std::pair<std::int64_t, std::string>> ran;
+  int issued = 0;
+  const auto add = [&](SimTime at, const std::string& label, bool absolute) {
+    const auto fn = [&ran, &s, label] {
+      ran.emplace_back(s.now().ns() / 1000, label);
+    };
+    const EventId id = absolute ? s.schedule_at(at, fn)
+                                : s.schedule_in(at - s.now(), fn);
+    want.push_back(Want{at.ns() / 1000, issued++, label});
+    return id;
+  };
+  std::vector<EventId> cancelled;
+  for (int k = 0; k < kTicks; ++k) {
+    s.run_until(SimTime::micros(10 * k));
+    for (const std::int64_t d : kDelaysUs) {
+      const EventId id =
+          add(s.now() + SimTime::micros(d),
+              std::to_string(d) + "us@" + std::to_string(k), false);
+      // Cancel one loose cell and one FIFO cell of the 100 us class.
+      if (d == 100 && (k == 1 || k == kAdmit + 1)) {
+        s.cancel(id);
+        cancelled.push_back(id);
+        want.pop_back();
+      }
+    }
+    if (k == 0) add(SimTime::micros(150), "abs150", true);
+    if (k + 1 == static_cast<int>(kAdmit) - 1) {
+      // The delays' sightings so far leave every cell loose.
+      EXPECT_EQ(SchedulerTestPeer::fifos(s), 0u);
+      EXPECT_GT(SchedulerTestPeer::loose(s), 0u);
+    }
+    if (k + 1 == static_cast<int>(kAdmit)) {
+      EXPECT_EQ(SchedulerTestPeer::fifos(s), 3u);  // all three promoted
+    }
+    s.audit_invariants();
+  }
+  s.run();
+  s.audit_invariants();
+  for (const EventId id : cancelled) EXPECT_FALSE(s.pending(id));
+
+  std::sort(want.begin(), want.end(), [](const Want& a, const Want& b) {
+    return a.at_us != b.at_us ? a.at_us < b.at_us : a.issue < b.issue;
+  });
+  ASSERT_EQ(ran.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(ran[i].first, want[i].at_us) << "dispatch " << i;
+    EXPECT_EQ(ran[i].second, want[i].label) << "dispatch " << i;
+  }
+  EXPECT_TRUE(s.empty());
+}
+
 // Drives a Scheduler and a reference model through one seeded random
 // interleaving of schedule_at/schedule_in (past times, many same-time ties),
 // cancel (live, already-run, already-cancelled and invalid ids), step,
@@ -267,10 +356,27 @@ class SchedulerModel : public ::testing::TestWithParam<int> {
   SimTime model_now_;
   std::size_t dispatches_ = 0;
   std::string mismatch_;  // first dispatch that disagreed with the model
+  // Delay mode. Near (default): offsets of a few us, which a handful of
+  // FIFOs hold. Scatter: half the events draw one of kRecurring recurring
+  // delays, more classes than the scheduler has FIFOs, and half a fresh
+  // delay of 0-50 000 us, so loose cells, promotions and the FIFO cap
+  // all take part.
+  bool scatter_ = false;
+  std::size_t max_loose_ = 0;
+  static constexpr std::int64_t kRecurring = 96;
 
   // Microsecond offsets from now(); the negative ones clamp to now().
   SimTime random_time(std::int64_t lo, std::int64_t hi) {
     return model_now_ + SimTime::micros(rng_.uniform_int(lo, hi));
+  }
+
+  SimTime schedule_time() {
+    if (!scatter_) return random_time(-3, 6);
+    if (rng_.chance(0.5)) {
+      return model_now_ +
+             SimTime::micros(37 * rng_.uniform_int(0, kRecurring - 1));
+    }
+    return random_time(-3, 50'000);
   }
 
   void schedule(SimTime t, bool relative) {
@@ -317,7 +423,10 @@ class SchedulerModel : public ::testing::TestWithParam<int> {
     model_.erase(model_.begin());
     s_.audit_invariants();
     // Mean fan-out below one, so every run_until terminates.
-    if (rng_.chance(0.35)) schedule(random_time(-2, 4), rng_.chance(0.5));
+    if (rng_.chance(0.35)) {
+      schedule(scatter_ ? schedule_time() : random_time(-2, 4),
+               rng_.chance(0.5));
+    }
     if (rng_.chance(0.10)) schedule(model_now_, false);  // same-time tie
     if (rng_.chance(0.15)) cancel_random();
   }
@@ -337,49 +446,61 @@ class SchedulerModel : public ::testing::TestWithParam<int> {
     }
     EXPECT_FALSE(s_.pending(kInvalidEvent));
     s_.audit_invariants();
+    max_loose_ = std::max(max_loose_, SchedulerTestPeer::loose(s_));
+  }
+
+  void drive(int ops) {
+    rng_.reseed(static_cast<std::uint64_t>(GetParam()));
+    for (int op = 0; op < ops; ++op) {
+      const double r = rng_.uniform();
+      if (r < 0.40) {
+        schedule(schedule_time(), rng_.chance(0.25));
+      } else if (r < 0.55) {
+        cancel_random();
+      } else if (r < 0.75) {
+        const std::size_t before = dispatches_;
+        const bool had = !model_.empty();
+        ASSERT_EQ(s_.step(), had) << "op " << op;
+        ASSERT_EQ(dispatches_ - before, had ? 1u : 0u) << "op " << op;
+      } else if (r < 0.85) {
+        const std::size_t k = static_cast<std::size_t>(rng_.uniform_int(0, 4));
+        const std::size_t before = dispatches_;
+        const std::size_t n = s_.run(k);
+        ASSERT_EQ(n, dispatches_ - before) << "op " << op;
+        ASSERT_LE(n, k) << "op " << op;
+        if (n < k) {
+          ASSERT_TRUE(model_.empty()) << "op " << op;
+        }
+      } else {
+        const SimTime t =
+            scatter_ ? random_time(-2, 2'000) : random_time(-2, 8);
+        const std::size_t before = dispatches_;
+        const std::size_t n = s_.run_until(t);
+        ASSERT_EQ(n, dispatches_ - before) << "op " << op;
+        // Everything due by `t` ran, including events scheduled meanwhile.
+        if (!model_.empty()) {
+          ASSERT_GT(model_.begin()->first.first, t.ns()) << "op " << op;
+        }
+        if (model_now_ < t) model_now_ = t;
+      }
+      ASSERT_NO_FATAL_FAILURE(check_state(op));
+    }
+    // Drain what is left; the tail must follow the model too.
+    s_.run();
+    ASSERT_NO_FATAL_FAILURE(check_state(-1));
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(s_.events_executed(), dispatches_);
   }
 };
 
-TEST_P(SchedulerModel, DispatchOrderMatchesReferenceModel) {
-  rng_.reseed(static_cast<std::uint64_t>(GetParam()));
-  for (int op = 0; op < 2000; ++op) {
-    const double r = rng_.uniform();
-    if (r < 0.40) {
-      schedule(random_time(-3, 6), rng_.chance(0.25));
-    } else if (r < 0.55) {
-      cancel_random();
-    } else if (r < 0.75) {
-      const std::size_t before = dispatches_;
-      const bool had = !model_.empty();
-      ASSERT_EQ(s_.step(), had) << "op " << op;
-      ASSERT_EQ(dispatches_ - before, had ? 1u : 0u) << "op " << op;
-    } else if (r < 0.85) {
-      const std::size_t k = static_cast<std::size_t>(rng_.uniform_int(0, 4));
-      const std::size_t before = dispatches_;
-      const std::size_t n = s_.run(k);
-      ASSERT_EQ(n, dispatches_ - before) << "op " << op;
-      ASSERT_LE(n, k) << "op " << op;
-      if (n < k) {
-        ASSERT_TRUE(model_.empty()) << "op " << op;
-      }
-    } else {
-      const SimTime t = random_time(-2, 8);
-      const std::size_t before = dispatches_;
-      const std::size_t n = s_.run_until(t);
-      ASSERT_EQ(n, dispatches_ - before) << "op " << op;
-      // Everything due by `t` ran, including events scheduled meanwhile.
-      if (!model_.empty()) {
-        ASSERT_GT(model_.begin()->first.first, t.ns()) << "op " << op;
-      }
-      if (model_now_ < t) model_now_ = t;
-    }
-    ASSERT_NO_FATAL_FAILURE(check_state(op));
-  }
-  // Drain what is left; the tail must follow the model too.
-  s_.run();
-  ASSERT_NO_FATAL_FAILURE(check_state(-1));
-  EXPECT_TRUE(model_.empty());
-  EXPECT_EQ(s_.events_executed(), dispatches_);
+TEST_P(SchedulerModel, DispatchOrderMatchesReferenceModel) { drive(2000); }
+
+TEST_P(SchedulerModel, ScatteredDelaysMatchReferenceModel) {
+  scatter_ = true;
+  drive(6000);
+  // The mode reached what it is for: the FIFO cap and loose cells.
+  EXPECT_EQ(SchedulerTestPeer::fifos(s_), SchedulerTestPeer::kMaxFifos);
+  EXPECT_GT(max_loose_, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerModel, ::testing::Range(1, 9));
